@@ -8,7 +8,7 @@
 //!   messages per second alongside the run's deterministic counters.
 //! * **scale** — reactor-only rows at N ∈ {1024, 10240} on a torus, the
 //!   regime the readiness runtime exists for: one process, thread count
-//!   pinned by the shard count (reported as `peak_threads`), round budget
+//!   pinned by the shard count (reported as `runtime_threads`), round budget
 //!   capped so the row measures throughput rather than patience.
 //! * **topologies** — rounds-to-converge at N = 1024 across the graph
 //!   families (ring, chord ring, torus, hypercube, random-regular) on the
@@ -34,6 +34,7 @@
 //! never be mistaken for a rounds-to-converge measurement.
 
 use dpc_alg::diba::DibaConfig;
+use dpc_alg::exec::host_parallelism;
 use dpc_alg::problem::PowerBudgetProblem;
 use dpc_models::units::Watts;
 use dpc_models::workload::ClusterBuilder;
@@ -67,7 +68,7 @@ pub const SCALE_SHAPES: [(usize, usize, usize, usize); 2] = [
     (10_240, 80, 128, SCALE_MAX_ROUNDS),
 ];
 
-/// Shard count pinned for the scale rows, so `peak_threads` is a constant
+/// Shard count pinned for the scale rows, so `runtime_threads` is a constant
 /// of the benchmark rather than of the host's core count (and so the rows
 /// stay comparable across PRs that change the auto-tune policy).
 pub const SCALE_SHARDS: usize = 4;
@@ -82,15 +83,6 @@ pub const SCALE_MAX_ROUNDS: usize = 6_000;
 /// reaches quorum inside it (~12.6k rounds at seed 0) and the row carries
 /// an honest rounds-to-converge number.
 pub const SCALE_CONVERGE_ROUNDS: usize = 16_000;
-
-/// Cluster size and torus shape for the framing comparison behind
-/// `--min-msgs-speedup`: batched `DataBatch` frames vs one frame per
-/// message over the identical deployment.
-pub const FRAMING_N: (usize, usize, usize) = (1024, 32, 32);
-
-/// Round cap for the framing comparison — both runs are force-capped at
-/// the same round count, so the msgs/s ratio compares equal work.
-pub const FRAMING_MAX_ROUNDS: usize = 1_500;
 
 /// Round cap for the topology table — sized so every family that
 /// actually reaches quorum at N = 1 024 does so inside it (ring ~21.8k,
@@ -123,10 +115,10 @@ pub struct RuntimeCell {
     pub heartbeats: u64,
     /// Residual-invariant drift at the end (watts).
     pub drift: f64,
-    /// Peak OS threads over the deployment, when the substrate reports it
-    /// (the reactor does; thread-per-node substrates have nothing to brag
-    /// about). Deterministic given a pinned shard count.
-    pub peak_threads: Option<u32>,
+    /// Threads the runtime ran on (shards plus coordinator), when the
+    /// substrate reports it (the reactor does; thread-per-node substrates
+    /// have nothing to brag about). Deterministic given the shard count.
+    pub runtime_threads: Option<u32>,
     /// Wall-clock for the whole deployment (handshake included).
     pub secs: f64,
 }
@@ -170,6 +162,9 @@ pub struct TopologyCell {
 pub struct RuntimeBenchReport {
     /// Workload seed.
     pub seed: u64,
+    /// Cores the host offered (`available_parallelism`), so a row timed
+    /// on one core is never read as a multi-core one.
+    pub host_parallelism: usize,
     /// Per-cell measurements, size-major then transport order.
     pub cells: Vec<RuntimeCell>,
     /// Reactor scale rows (empty in the quick sweep).
@@ -211,8 +206,8 @@ impl RuntimeBenchReport {
         // fields that stay pure functions of `(sizes, seed)` — rounds,
         // convergence, thread count — remain on the stable line.
         fn cell_json(out: &mut String, c: &RuntimeCell, last: bool, extra: &str) {
-            let threads = match c.peak_threads {
-                Some(t) => format!(", \"peak_threads\": {t}"),
+            let threads = match c.runtime_threads {
+                Some(t) => format!(", \"runtime_threads\": {t}"),
                 None => String::new(),
             };
             let counters = format!(
@@ -253,6 +248,10 @@ impl RuntimeBenchReport {
         let mut out = String::from("{\n");
         out.push_str("  \"bench\": \"runtime\",\n");
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
+        out.push_str(&format!(
+            "  \"host_parallelism\": {},\n",
+            self.host_parallelism
+        ));
         out.push_str(&format!("  \"all_converged\": {},\n", self.all_converged()));
         out.push_str("  \"cells\": [\n");
         for (k, c) in self.cells.iter().enumerate() {
@@ -316,7 +315,7 @@ impl RuntimeBenchReport {
                 c.heartbeats,
                 c.rounds_per_sec(),
                 c.msgs_per_sec(),
-                c.peak_threads
+                c.runtime_threads
                     .map(|t| t.to_string())
                     .unwrap_or_else(|| "-".into()),
                 if c.converged { "ok" } else { "NO QUORUM" },
@@ -372,7 +371,7 @@ fn timed_cell(
         msgs_sent: outcome.msgs_sent,
         heartbeats: outcome.heartbeats,
         drift: outcome.drift,
-        peak_threads: outcome.peak_threads,
+        runtime_threads: outcome.runtime_threads,
         secs,
     }
 }
@@ -408,63 +407,6 @@ pub fn measure_scale_cell(
         ..RuntimeConfig::default()
     };
     timed_cell(problem, graph, &rt, servers)
-}
-
-/// The batched-vs-per-message framing comparison behind the CLI's
-/// `--min-msgs-speedup` gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FramingCompare {
-    /// Reactor run with per-round `DataBatch` coalescing (the default).
-    pub batched: RuntimeCell,
-    /// The identical deployment with one wire frame per entry.
-    pub per_message: RuntimeCell,
-}
-
-impl FramingCompare {
-    /// Message-throughput ratio of the batched run over the per-message
-    /// run. Both runs are capped at the same round count over the same
-    /// seeded problem, so the ratio compares equal work.
-    pub fn speedup(&self) -> f64 {
-        self.batched.msgs_per_sec() / self.per_message.msgs_per_sec().max(1e-12)
-    }
-
-    /// One-line summary for the CLI.
-    pub fn to_line(&self) -> String {
-        format!(
-            "framing: batched {:.1} msgs/s vs per-message {:.1} msgs/s ({:.2}x) at N={}",
-            self.batched.msgs_per_sec(),
-            self.per_message.msgs_per_sec(),
-            self.speedup(),
-            self.batched.servers,
-        )
-    }
-}
-
-/// Runs the reactor twice over the identical seeded torus — once with
-/// per-round frame coalescing, once emitting one frame per entry — and
-/// reports both throughputs. Single-threaded hosts cannot time this
-/// meaningfully (the shards contend with the workload generator and each
-/// other on one core), so callers should skip the gate there.
-pub fn measure_framing_compare(seed: u64) -> FramingCompare {
-    let (servers, rows, cols) = FRAMING_N;
-    let run = |coalesce: bool| {
-        let cluster = ClusterBuilder::new(servers).seed(seed).build();
-        let problem = PowerBudgetProblem::new(cluster.utilities(), Watts(170.0 * servers as f64))
-            .expect("170 W/server is feasible");
-        let graph = Graph::torus(rows, cols).expect("torus builds");
-        let rt = RuntimeConfig {
-            transport: TransportKind::Reactor,
-            shards: ShardCount::Fixed(SCALE_SHARDS),
-            max_rounds: FRAMING_MAX_ROUNDS,
-            coalesce,
-            ..RuntimeConfig::default()
-        };
-        timed_cell(problem, graph, &rt, servers)
-    };
-    FramingCompare {
-        batched: run(true),
-        per_message: run(false),
-    }
 }
 
 /// Deploys one topology-table row on the lockstep executor.
@@ -539,6 +481,7 @@ pub fn run_runtime_bench(sizes: &[usize], seed: u64) -> RuntimeBenchReport {
     }
     RuntimeBenchReport {
         seed,
+        host_parallelism: host_parallelism(),
         cells,
         scale: Vec::new(),
         topologies: Vec::new(),
@@ -595,7 +538,7 @@ mod tests {
         }
         let reactor = report.cells.last().unwrap();
         assert_eq!(reactor.transport, TransportKind::Reactor);
-        assert!(reactor.peak_threads.is_some());
+        assert!(reactor.runtime_threads.is_some());
     }
 
     #[test]
@@ -637,6 +580,7 @@ mod tests {
     fn json_report_is_well_formed() {
         let report = RuntimeBenchReport {
             seed: 7,
+            host_parallelism: 2,
             cells: vec![RuntimeCell {
                 transport: TransportKind::Tcp,
                 servers: 8,
@@ -645,7 +589,7 @@ mod tests {
                 msgs_sent: 1600,
                 heartbeats: 40,
                 drift: 1e-12,
-                peak_threads: None,
+                runtime_threads: None,
                 secs: 0.5,
             }],
             scale: vec![RuntimeCell {
@@ -656,7 +600,7 @@ mod tests {
                 msgs_sent: 2_048_000,
                 heartbeats: 0,
                 drift: 1e-9,
-                peak_threads: Some(5),
+                runtime_threads: Some(5),
                 secs: 2.0,
             }],
             topologies: vec![TopologyCell {
@@ -672,10 +616,11 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"runtime\""));
+        assert!(json.contains("\"host_parallelism\": 2"));
         assert!(json.contains("\"transport\": \"tcp\""));
         assert!(json.contains("\"rounds_per_sec\": 200.0"));
         assert!(json.contains("\"msgs_per_sec\": 3200.0"));
-        assert!(json.contains("\"peak_threads\": 5"));
+        assert!(json.contains("\"runtime_threads\": 5"));
         assert!(json.contains("\"topology\": \"torus\""));
         assert!(json.contains("\"spectral_gap\": 0.010000"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -690,6 +635,7 @@ mod tests {
         // seed — the JSON must keep them on the volatile (stripped) line.
         let mut report = RuntimeBenchReport {
             seed: 7,
+            host_parallelism: 2,
             cells: vec![],
             scale: vec![RuntimeCell {
                 transport: TransportKind::Reactor,
@@ -699,7 +645,7 @@ mod tests {
                 msgs_sent: 143_842_055,
                 heartbeats: 5_049,
                 drift: 4.5e-2,
-                peak_threads: Some(5),
+                runtime_threads: Some(5),
                 secs: 170.0,
             }],
             topologies: vec![],
@@ -713,7 +659,7 @@ mod tests {
         assert!(!stable.contains("\"rounds\":"), "{stable}");
         assert!(stable.contains("\"cap_exhausted\": true"));
         assert!(stable.contains("\"round_cap\": 6000"));
-        assert!(stable.contains("\"peak_threads\": 5"));
+        assert!(stable.contains("\"runtime_threads\": 5"));
         // The same row after quorum keeps everything on the stable line
         // and reports a genuine rounds figure.
         report.scale[0].converged = true;

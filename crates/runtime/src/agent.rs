@@ -1,185 +1,512 @@
-//! The protocol brain of one DiBA agent, factored out of the blocking node
-//! loop so every driver executes the *same* arithmetic in the same order.
+//! The protocol brain of DiBA agents, stored as one columnar block so
+//! every substrate executes the *same* arithmetic in the same order.
 //!
-//! Three substrates drive an [`AgentCore`]:
+//! An [`AgentBlock`] holds a set of agents as rows of flat columns: the
+//! agent columns (`p`, `e`, boost, settled streak, round counter, phase,
+//! message counters) and, in CSR order behind each agent, the link columns
+//! (last heard residual, last sent residual, liveness, peer-settled,
+//! silence count, end-of-stream) plus one [`Mailboxes`] slot per link.
+//! No agent owns a heap buffer; one kernel scratch serves the whole block.
 //!
-//! * the blocking actor loop ([`crate::node::run_node`]) — one thread per
-//!   node over a [`crate::transport::Transport`];
-//! * the serial lockstep executor ([`crate::lockstep`]) — no threads, no
-//!   sockets, the cheap big-N reference;
-//! * the reactor shards ([`crate::reactor`]) — thousands of agents per
-//!   poller thread, stepped when a round's frames are buffered.
+//! Three substrates drive a block:
 //!
-//! The core exposes the round as phases — `begin_round` (compute + stage
-//! outbound frames), send notes, receive handlers in slot order,
-//! `end_round` (boost decay, trace, quorum) — and every phase touches
-//! `(p, e)` exactly the way the original monolithic loop did. Because each
-//! driver calls the phases in the same sequence over the same frames, their
-//! `(p, e)` trajectories agree bitwise; the transport-equivalence tests pin
-//! this across all substrates.
+//! * the serial lockstep executor ([`crate::lockstep`]) — one block for
+//!   the whole cluster, every link local;
+//! * the reactor shards ([`crate::reactor`]) — one block per shard; links
+//!   to agents of other shards are *remote* and go out through an
+//!   [`Outlet`] onto the shard's wire carriers;
+//! * the blocking actor loop ([`crate::node::run_node`]) — a block of one,
+//!   every link remote, the outlet being a [`crate::transport::Transport`].
+//!
+//! A link whose peer lives in the same block is *local*: sending on it
+//! writes straight into the peer's mailbox for the reverse link, with no
+//! encoding. A remote link's inbound entries are handed to
+//! [`AgentBlock::deliver`] by the substrate once decoded.
+//!
+//! The round is split into phases — [`AgentBlock::send_round`] (compute,
+//! stage one entry per live link), [`AgentBlock::receive_round`] (one entry
+//! per live link in slot order, boost decay, trace, quorum and goodbyes),
+//! and the drain ([`AgentBlock::absorb_drain`] /
+//! [`AgentBlock::finish_drain`]). Each touches `(p, e)` in the same order
+//! whatever the substrate, so trajectories agree bitwise across them;
+//! the transport-equivalence tests pin this.
+//!
+//! **Readiness is counted, not scanned.** When an agent sends its round,
+//! `missing` records how many live links still lack an entry (or an
+//! end-of-stream). Each delivery into an empty mailbox, and each
+//! end-of-stream on one, decrements it; the agent joins the ready queue
+//! the moment it reaches zero.
+//!
+//! **The mailbox bound.** A peer can only send round `r + 1` after it has
+//! consumed our round-`r` entry, and it consumes that only after we sent
+//! it, i.e. while we wait for round `r`. So a healthy link holds at most
+//! two entries — two rounds, or a round and the peer's goodbye — which is
+//! exactly the inline capacity. Only the round-timeout path (a receive
+//! pass run with an entry missing, consumed a round late) can back a link
+//! up further; that spills into a per-block overflow store.
 
 use crate::node::{NodeReport, NodeSample, NodeSpec};
-use crate::wire::WireMsg;
+use crate::wire::EntryKind;
 use dpc_alg::diba::{node_action_into, NodeParams, NodeScratch};
-use dpc_alg::message::RoundMsg;
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
-/// Per-slot link bookkeeping.
-struct LinkBook {
-    alive: bool,
-    /// Peer said goodbye (graceful) as opposed to being pruned/broken.
-    graceful: bool,
-    peer_settled: bool,
-    silent: usize,
-    /// Last residual heard from the peer.
-    heard_e: f64,
-    /// Last residual we successfully sent in a `Data` frame (NaN until the
-    /// first send, so the first round always sends `Data`).
-    sent_e: f64,
+/// One round entry as a link's mailbox holds it: what a `Data`,
+/// `Heartbeat` or `Goodbye` frame says, without framing or addressing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Mail {
+    /// Sender's residual (`+0.0` for heartbeats).
+    pub e: f64,
+    /// Slack mass carried (`+0.0` for heartbeats and goodbyes).
+    pub transfer: f64,
+    /// What the entry means ([`EntryKind::Eof`] never enters a mailbox:
+    /// end-of-stream is the link's `eof` flag).
+    pub kind: EntryKind,
+    /// Sender considers itself settled (data/heartbeat only).
+    pub settled: bool,
 }
 
-/// One staged outbound frame of the current round.
-pub struct Outbound {
-    /// Slot the frame goes to.
-    pub slot: usize,
-    /// The frame itself (`Data` or `Heartbeat`).
-    pub msg: WireMsg,
-    /// Slack mass the frame carries (reclaimed if the link is gone).
-    transfer: f64,
-    /// `true` when the frame is a suppressed-duplicate heartbeat.
-    redundant: bool,
+impl Mail {
+    const EMPTY: Mail = Mail {
+        e: 0.0,
+        transfer: 0.0,
+        kind: EntryKind::Heartbeat,
+        settled: false,
+    };
 }
 
-/// The complete protocol state of one agent, advanced phase by phase.
-pub struct AgentCore {
-    spec: NodeSpec,
-    peers: Vec<usize>,
-    links: Vec<LinkBook>,
-    p: f64,
-    e: f64,
-    boost: f64,
-    decay: f64,
-    streak: usize,
-    settled: bool,
-    rounds: usize,
-    converged: bool,
-    msgs_sent: u64,
-    msgs_received: u64,
-    heartbeats_sent: u64,
-    pruned: Vec<usize>,
-    trace: Vec<NodeSample>,
-    live_slots: Vec<usize>,
-    neigh_e: Vec<f64>,
-    outbound: Vec<Outbound>,
-    scratch: NodeScratch,
-    /// Drain-phase frames staged per slot (`Some(transfer)` for mass
-    /// carriers, `None` for heartbeats), absorbed in slot order at the
-    /// end so the accounting matches the blocking loop's sequential
-    /// per-slot drain bitwise regardless of arrival interleaving.
-    drained: Vec<Vec<Option<f64>>>,
+/// Entries a link's mailbox holds inline: the healthy-path bound (see the
+/// module docs). Anything beyond spills to the block's overflow store.
+pub const MAILBOX_INLINE: usize = 2;
+
+/// Per-link FIFO mailboxes: the oldest [`MAILBOX_INLINE`] entries of each
+/// link sit in a flat inline column; further entries of a backed-up link
+/// live in one shared overflow map, touched only on the round-timeout path.
+#[derive(Debug, Default)]
+pub struct Mailboxes {
+    inline: Vec<[Mail; MAILBOX_INLINE]>,
+    /// Entries held per link, inline and spilled together.
+    len: Vec<u32>,
+    spill: HashMap<u32, VecDeque<Mail>>,
 }
 
-impl AgentCore {
-    /// Builds the launch state for one agent; `peers[slot]` is the neighbor
-    /// node id behind each slot (ascending, matching
-    /// [`dpc_topology::Graph::neighbors`]).
-    pub fn new(spec: NodeSpec, peers: &[usize]) -> AgentCore {
-        let degree = peers.len();
-        let links = (0..degree)
-            .map(|_| LinkBook {
-                alive: true,
-                graceful: false,
-                peer_settled: false,
-                silent: 0,
-                heard_e: spec.e,
-                sent_e: f64::NAN,
-            })
-            .collect();
-        AgentCore {
-            p: spec.p,
-            e: spec.e,
-            boost: spec.eta_boost.max(1.0),
-            decay: spec.boost_decay.clamp(0.0, 1.0),
-            streak: 0,
-            settled: false,
-            rounds: 0,
-            converged: false,
-            msgs_sent: 0,
-            msgs_received: 0,
-            heartbeats_sent: 0,
-            pruned: Vec::new(),
-            trace: Vec::new(),
-            live_slots: Vec::with_capacity(degree),
-            neigh_e: Vec::with_capacity(degree),
-            outbound: Vec::with_capacity(degree),
-            scratch: NodeScratch::with_capacity(degree),
-            drained: (0..degree).map(|_| Vec::new()).collect(),
-            peers: peers.to_vec(),
-            links,
-            spec,
+impl Mailboxes {
+    /// Empty mailboxes for `links` links.
+    pub fn new(links: usize) -> Mailboxes {
+        Mailboxes {
+            inline: vec![[Mail::EMPTY; MAILBOX_INLINE]; links],
+            len: vec![0; links],
+            spill: HashMap::new(),
         }
     }
 
-    /// This agent's node id.
-    pub fn id(&self) -> usize {
-        self.spec.id
+    /// Whether link `l` holds nothing.
+    pub fn is_empty(&self, l: usize) -> bool {
+        self.len[l] == 0
     }
 
-    /// Number of neighbor slots.
-    pub fn degree(&self) -> usize {
-        self.links.len()
+    /// Appends `mail` to link `l`'s queue.
+    pub fn push(&mut self, l: usize, mail: Mail) {
+        let n = self.len[l] as usize;
+        if n < MAILBOX_INLINE {
+            self.inline[l][n] = mail;
+        } else {
+            self.spill.entry(l as u32).or_default().push_back(mail);
+        }
+        self.len[l] += 1;
     }
 
-    /// Neighbor node id behind `slot`.
-    pub fn peer(&self, slot: usize) -> usize {
-        self.peers[slot]
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// `true` while the round budget allows another round.
-    pub fn rounds_remaining(&self) -> bool {
-        self.rounds < self.spec.max_rounds
-    }
-
-    /// Whether the link behind `slot` is still alive.
-    pub fn is_alive(&self, slot: usize) -> bool {
-        self.links[slot].alive
-    }
-
-    /// The round's live-slot snapshot (valid between `begin_round` and
-    /// `end_round`); the receive pass iterates it in order, skipping slots
-    /// that died during the send pass.
-    pub fn round_slots(&self) -> &[usize] {
-        &self.live_slots
-    }
-
-    /// Compute pass: assemble the neighbor view, take the node action,
-    /// apply `(p, e)`, update the settled streak, and stage one outbound
-    /// frame per live slot. Advances the round counter.
-    pub fn begin_round(&mut self) {
-        self.rounds += 1;
-        let round = self.rounds as u32;
-
-        self.live_slots.clear();
-        self.neigh_e.clear();
-        for (slot, link) in self.links.iter().enumerate() {
-            if link.alive {
-                self.live_slots.push(slot);
-                self.neigh_e.push(link.heard_e);
+    /// Takes the oldest entry of link `l`.
+    pub fn pop(&mut self, l: usize) -> Option<Mail> {
+        let n = self.len[l] as usize;
+        if n == 0 {
+            return None;
+        }
+        let slots = &mut self.inline[l];
+        let head = slots[0];
+        slots.copy_within(1.., 0);
+        if n > MAILBOX_INLINE {
+            let queue = self.spill.get_mut(&(l as u32)).expect("spilled entries");
+            slots[MAILBOX_INLINE - 1] = queue.pop_front().expect("spilled entry");
+            if queue.is_empty() {
+                self.spill.remove(&(l as u32));
             }
         }
+        self.len[l] -= 1;
+        Some(head)
+    }
 
+    /// The newest entry of link `l`.
+    pub fn back(&self, l: usize) -> Option<&Mail> {
+        match self.len[l] as usize {
+            0 => None,
+            n if n <= MAILBOX_INLINE => Some(&self.inline[l][n - 1]),
+            _ => self.spill.get(&(l as u32)).and_then(|q| q.back()),
+        }
+    }
+
+    /// Drops everything link `l` holds.
+    pub fn clear(&mut self, l: usize) {
+        if self.len[l] as usize > MAILBOX_INLINE {
+            self.spill.remove(&(l as u32));
+        }
+        self.len[l] = 0;
+    }
+}
+
+/// Where an agent is in its lifecycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Ready to compute and send the next round.
+    NeedSend,
+    /// Round sent; waiting for every live link's entry.
+    AwaitFrames,
+    /// Goodbyes sent; holding in-flight entries until every link closes.
+    Draining,
+    /// Finished (quorum drain complete or round budget exhausted).
+    Done,
+}
+
+/// The transport side of a block's remote links.
+pub trait Outlet {
+    /// Hands `mail` for remote link `link` to the transport, stamped with
+    /// the sender's round counter. Returns `false` when the link is gone
+    /// (the block then reclaims the entry's transfer).
+    fn send(&mut self, link: usize, round: u32, mail: Mail) -> bool;
+
+    /// The agent behind remote link `link` will never write it again (it
+    /// finished, or closed the link on the peer's goodbye): announce the
+    /// link's end of stream, if the transport has such a thing.
+    fn eof(&mut self, link: usize, round: u32);
+}
+
+/// The outlet of a block whose links are all local (the lockstep
+/// executor): nothing ever leaves the block.
+pub struct NoRemote;
+
+impl Outlet for NoRemote {
+    fn send(&mut self, _link: usize, _round: u32, _mail: Mail) -> bool {
+        unreachable!("every link of this block is local")
+    }
+
+    fn eof(&mut self, _link: usize, _round: u32) {
+        unreachable!("every link of this block is local")
+    }
+}
+
+/// `reverse` marker of a link whose peer lives outside the block.
+const REMOTE: u32 = u32::MAX;
+
+/// A set of agents with consecutive node ids, stored column by column.
+pub struct AgentBlock {
+    // Agent columns.
+    specs: Vec<NodeSpec>,
+    p: Vec<f64>,
+    e: Vec<f64>,
+    boost: Vec<f64>,
+    streak: Vec<u32>,
+    rounds: Vec<u32>,
+    settled: Vec<bool>,
+    converged: Vec<bool>,
+    phase: Vec<Phase>,
+    msgs_sent: Vec<u64>,
+    msgs_received: Vec<u64>,
+    heartbeats_sent: Vec<u64>,
+    /// Live links still lacking an entry or end of stream this round.
+    missing: Vec<u32>,
+    /// CSR offsets: agent `a`'s links are `first_link[a]..first_link[a+1]`.
+    first_link: Vec<u32>,
+
+    // Link columns.
+    owner: Vec<u32>,
+    /// Neighbor node id behind the link.
+    peer: Vec<u32>,
+    /// The peer's link back to us when the peer is in this block, else
+    /// [`REMOTE`].
+    reverse: Vec<u32>,
+    heard_e: Vec<f64>,
+    /// Last residual handed over in a `Data` entry (NaN until the first
+    /// send, so the first round always sends `Data`).
+    sent_e: Vec<f64>,
+    alive: Vec<bool>,
+    /// The peer said goodbye (as opposed to being pruned or lost).
+    graceful: Vec<bool>,
+    peer_settled: Vec<bool>,
+    /// The peer will never write this link again.
+    eof: Vec<bool>,
+    silent: Vec<u32>,
+    mail: Mailboxes,
+
+    // Rare per-agent output, appended in event order.
+    pruned: Vec<(u32, u32)>,
+    /// Sampled trace, one list per agent (each empty unless sampling),
+    /// moved into its report as is. A block-wide list would need a sort
+    /// and a copy at the end, and on a sampled 10k run those transient
+    /// buffers run to tens of megabytes that the shard thread's allocator
+    /// arena keeps resident after the run.
+    trace: Vec<Vec<NodeSample>>,
+
+    /// Agents to step, oldest first.
+    ready: VecDeque<u32>,
+    done: usize,
+    neigh_e: Vec<f64>,
+    scratch: NodeScratch,
+}
+
+impl AgentBlock {
+    /// Builds the launch state of `specs` (consecutive node ids, ascending);
+    /// `rows` yields each agent's neighbor node ids in slot order
+    /// (ascending, matching [`dpc_topology::Graph::neighbors`]). A neighbor
+    /// whose id falls inside the block's range is wired as a local link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` does not yield exactly one row per spec, or if a
+    /// local neighbor does not list the agent back.
+    pub fn new<'a>(specs: Vec<NodeSpec>, rows: impl IntoIterator<Item = &'a [usize]>) -> Self {
+        let n = specs.len();
+        let base = specs.first().map_or(0, |s| s.id);
+        debug_assert!(
+            specs.iter().enumerate().all(|(k, s)| s.id == base + k),
+            "block agents have consecutive ids"
+        );
+        let mut first_link = Vec::with_capacity(n + 1);
+        first_link.push(0u32);
+        let mut peer = Vec::new();
+        let mut owner = Vec::new();
+        for (a, row) in rows.into_iter().enumerate() {
+            peer.extend(row.iter().map(|&j| j as u32));
+            owner.resize(peer.len(), a as u32);
+            first_link.push(peer.len() as u32);
+        }
+        assert_eq!(first_link.len(), n + 1, "one neighbor row per spec");
+        let links = peer.len();
+        let local = |node: usize| node.checked_sub(base).filter(|&b| b < n);
+        let reverse: Vec<u32> = (0..links)
+            .map(|l| match local(peer[l] as usize) {
+                Some(b) => {
+                    let row = &peer[first_link[b] as usize..first_link[b + 1] as usize];
+                    let me = (base + owner[l] as usize) as u32;
+                    let pos = row.binary_search(&me).expect("graph edges are symmetric");
+                    first_link[b] + pos as u32
+                }
+                None => REMOTE,
+            })
+            .collect();
+        let heard_e = (0..links).map(|l| specs[owner[l] as usize].e).collect();
+        let max_degree = (0..n)
+            .map(|a| (first_link[a + 1] - first_link[a]) as usize)
+            .max()
+            .unwrap_or(0);
+        AgentBlock {
+            p: specs.iter().map(|s| s.p).collect(),
+            e: specs.iter().map(|s| s.e).collect(),
+            boost: specs.iter().map(|s| s.eta_boost.max(1.0)).collect(),
+            streak: vec![0; n],
+            rounds: vec![0; n],
+            settled: vec![false; n],
+            converged: vec![false; n],
+            phase: vec![Phase::NeedSend; n],
+            msgs_sent: vec![0; n],
+            msgs_received: vec![0; n],
+            heartbeats_sent: vec![0; n],
+            missing: vec![0; n],
+            first_link,
+            owner,
+            peer,
+            reverse,
+            heard_e,
+            sent_e: vec![f64::NAN; links],
+            alive: vec![true; links],
+            graceful: vec![false; links],
+            peer_settled: vec![false; links],
+            eof: vec![false; links],
+            silent: vec![0; links],
+            mail: Mailboxes::new(links),
+            pruned: Vec::new(),
+            trace: vec![Vec::new(); n],
+            ready: VecDeque::new(),
+            done: 0,
+            neigh_e: Vec::with_capacity(max_degree),
+            scratch: NodeScratch::with_capacity(max_degree),
+            specs,
+        }
+    }
+
+    /// Agents in the block.
+    pub fn len(&self) -> usize {
+        self.specs.len()
+    }
+
+    /// Total links of the block's agents.
+    pub fn link_count(&self) -> usize {
+        self.peer.len()
+    }
+
+    /// Agent `a`'s links, in slot order.
+    pub fn links(&self, a: usize) -> Range<usize> {
+        self.first_link[a] as usize..self.first_link[a + 1] as usize
+    }
+
+    /// Agent `a`'s launch spec.
+    pub fn spec(&self, a: usize) -> &NodeSpec {
+        &self.specs[a]
+    }
+
+    /// Agent `a`'s lifecycle phase.
+    pub fn phase(&self, a: usize) -> Phase {
+        self.phase[a]
+    }
+
+    /// Rounds agent `a` has started.
+    pub fn rounds(&self, a: usize) -> usize {
+        self.rounds[a] as usize
+    }
+
+    /// `true` while agent `a`'s round budget allows another round.
+    pub fn rounds_remaining(&self, a: usize) -> bool {
+        (self.rounds[a] as usize) < self.specs[a].max_rounds
+    }
+
+    /// Whether link `l` is still alive (while draining: still open).
+    pub fn is_alive(&self, l: usize) -> bool {
+        self.alive[l]
+    }
+
+    /// Whether every live link of agent `a` holds its round input.
+    pub fn is_ready(&self, a: usize) -> bool {
+        self.missing[a] == 0
+    }
+
+    /// Agents that have finished.
+    pub fn done(&self) -> usize {
+        self.done
+    }
+
+    /// Next agent whose inputs became complete (or, while draining, whose
+    /// links changed), in the order they became so. An agent may be queued
+    /// more than once; stepping it again is harmless.
+    pub fn pop_ready(&mut self) -> Option<usize> {
+        self.ready.pop_front().map(|a| a as usize)
+    }
+
+    /// Queues agent `a` for stepping.
+    pub fn wake(&mut self, a: usize) {
+        self.ready.push_back(a as u32);
+    }
+
+    /// Queues every agent (bring-up).
+    pub fn wake_all(&mut self) {
+        self.ready.extend(0..self.len() as u32);
+    }
+
+    /// Forgets queued wakeups (substrates that step on a fixed schedule).
+    pub fn clear_ready(&mut self) {
+        self.ready.clear();
+    }
+
+    /// An entry arrived on link `l`. Dropped when the link is dead or its
+    /// agent finished: neither is ever read again.
+    pub fn deliver(&mut self, l: usize, mail: Mail) {
+        let a = self.owner[l] as usize;
+        if !self.alive[l] || self.phase[a] == Phase::Done {
+            return;
+        }
+        let was_empty = self.mail.is_empty(l);
+        self.mail.push(l, mail);
+        if was_empty && !self.eof[l] {
+            self.filled(a);
+        } else if self.phase[a] == Phase::Draining {
+            self.wake(a);
+        }
+    }
+
+    /// Link `l`'s peer will never write it again.
+    pub fn set_eof(&mut self, l: usize) {
+        if self.eof[l] {
+            return;
+        }
+        self.eof[l] = true;
+        let a = self.owner[l] as usize;
+        if !self.alive[l] {
+            return;
+        }
+        if self.mail.is_empty(l) {
+            self.filled(a);
+        } else if self.phase[a] == Phase::Draining {
+            self.wake(a);
+        }
+    }
+
+    /// A live link of agent `a` went from lacking input to holding some.
+    fn filled(&mut self, a: usize) {
+        match self.phase[a] {
+            Phase::AwaitFrames => {
+                self.missing[a] -= 1;
+                if self.missing[a] == 0 {
+                    self.wake(a);
+                }
+            }
+            Phase::Draining => self.wake(a),
+            Phase::NeedSend | Phase::Done => {}
+        }
+    }
+
+    /// Link `l` died: nothing on it is ever read again.
+    fn kill(&mut self, l: usize) {
+        self.alive[l] = false;
+        self.mail.clear(l);
+        // A draining local peer may now close its link back to us.
+        let rev = self.reverse[l];
+        if rev != REMOTE {
+            let b = self.owner[rev as usize] as usize;
+            if self.phase[b] == Phase::Draining {
+                self.wake(b);
+            }
+        }
+    }
+
+    /// Hands one entry to link `l`'s peer: straight into its mailbox when
+    /// local, through `out` when remote. `false` when the link is gone.
+    fn transmit(&mut self, l: usize, round: u32, mail: Mail, out: &mut impl Outlet) -> bool {
+        if self.eof[l] {
+            return false;
+        }
+        match self.reverse[l] {
+            REMOTE => out.send(l, round, mail),
+            rev => {
+                self.deliver(rev as usize, mail);
+                true
+            }
+        }
+    }
+
+    /// Compute pass of agent `a`: assemble the neighbor view, take the
+    /// node action, apply `(p, e)`, update the settled streak, and send one
+    /// entry per live link — a `Heartbeat` instead of `Data` once settled
+    /// and the peer already holds this exact residual. A link found gone
+    /// has its transfer reclaimed so no slack mass is destroyed.
+    pub fn send_round(&mut self, a: usize, out: &mut impl Outlet) {
+        debug_assert_eq!(self.phase[a], Phase::NeedSend);
+        self.rounds[a] += 1;
+        let round = self.rounds[a];
+        let links = self.links(a);
+
+        self.neigh_e.clear();
+        for l in links.clone() {
+            if self.alive[l] {
+                self.neigh_e.push(self.heard_e[l]);
+            }
+        }
+        let spec = &self.specs[a];
         let round_params = NodeParams {
-            eta: self.spec.params.eta * self.boost,
-            ..self.spec.params
+            eta: spec.params.eta * self.boost[a],
+            ..spec.params
         };
         let dp = node_action_into(
-            &self.spec.utility,
-            self.p,
-            self.e,
+            &spec.utility,
+            self.p[a],
+            self.e[a],
             &self.neigh_e,
             &round_params,
             &mut self.scratch,
@@ -187,196 +514,291 @@ impl AgentCore {
         // Same accounting (and summation order) as
         // `NodeAction::own_residual_delta`, without the per-round `Vec`.
         let sent_total: f64 = self.scratch.transfers.iter().sum();
-        self.p += dp;
-        self.e += dp - sent_total;
-        self.streak = if dp.abs() < self.spec.settle_tol {
-            self.streak + 1
+        self.p[a] += dp;
+        self.e[a] += dp - sent_total;
+        self.streak[a] = if dp.abs() < spec.settle_tol {
+            self.streak[a] + 1
         } else {
             0
         };
-        self.settled = self.streak >= self.spec.stable_rounds;
+        let settled = self.streak[a] as usize >= spec.stable_rounds;
+        self.settled[a] = settled;
 
-        self.outbound.clear();
-        for (k, &slot) in self.live_slots.iter().enumerate() {
+        // Every entry carries the post-update residual; reclaims from
+        // closed links land in `e` without rewriting entries already sent.
+        let e_round = self.e[a];
+        // Our own mailboxes cannot change while we send, so the links still
+        // lacking round input are counted in the same pass.
+        let mut missing = 0;
+        let mut k = 0;
+        for l in links {
+            if !self.alive[l] {
+                continue;
+            }
             let transfer = self.scratch.transfers[k];
-            let redundant = self.settled && transfer == 0.0 && self.e == self.links[slot].sent_e;
-            let msg = if redundant {
-                WireMsg::Heartbeat {
-                    round,
+            k += 1;
+            let redundant = settled && transfer == 0.0 && e_round == self.sent_e[l];
+            let mail = if redundant {
+                Mail {
                     settled: true,
+                    ..Mail::EMPTY
                 }
             } else {
-                WireMsg::Data {
-                    round,
-                    msg: RoundMsg {
-                        e: self.e,
-                        transfer,
-                    },
-                    settled: self.settled,
+                Mail {
+                    e: e_round,
+                    transfer,
+                    kind: EntryKind::Data,
+                    settled,
                 }
             };
-            self.outbound.push(Outbound {
-                slot,
-                msg,
-                transfer,
-                redundant,
-            });
-        }
-    }
-
-    /// Number of frames staged by `begin_round`.
-    pub fn outbound_len(&self) -> usize {
-        self.outbound.len()
-    }
-
-    /// The `k`-th staged frame.
-    pub fn outbound(&self, k: usize) -> &Outbound {
-        &self.outbound[k]
-    }
-
-    /// The `k`-th staged frame was handed to the link.
-    pub fn note_sent(&mut self, k: usize) {
-        self.msgs_sent += 1;
-        let slot = self.outbound[k].slot;
-        if self.outbound[k].redundant {
-            self.heartbeats_sent += 1;
-        } else {
-            self.links[slot].sent_e = self.e;
-        }
-    }
-
-    /// The `k`-th staged frame could not be delivered (link gone): reclaim
-    /// the transfer so no slack mass is destroyed, and mark the slot dead.
-    pub fn note_send_closed(&mut self, k: usize) {
-        let slot = self.outbound[k].slot;
-        self.e += self.outbound[k].transfer;
-        self.links[slot].alive = false;
-        if !self.links[slot].graceful {
-            self.pruned.push(self.peers[slot]);
-        }
-    }
-
-    /// Receive handler: a `Data` frame on `slot`.
-    pub fn on_data(&mut self, slot: usize, msg: RoundMsg, peer_settled: bool) {
-        self.links[slot].heard_e = msg.e;
-        self.e += msg.transfer;
-        self.links[slot].peer_settled = peer_settled;
-        self.links[slot].silent = 0;
-        self.msgs_received += 1;
-    }
-
-    /// Receive handler: a `Heartbeat` frame on `slot`.
-    pub fn on_heartbeat(&mut self, slot: usize, peer_settled: bool) {
-        self.links[slot].peer_settled = peer_settled;
-        self.links[slot].silent = 0;
-        self.msgs_received += 1;
-    }
-
-    /// Receive handler: a `Goodbye` frame on `slot`.
-    pub fn on_goodbye(&mut self, slot: usize, msg: RoundMsg) {
-        self.e += msg.transfer;
-        self.links[slot].alive = false;
-        self.links[slot].graceful = true;
-        self.links[slot].peer_settled = true;
-        self.msgs_received += 1;
-    }
-
-    /// Receive handler: nothing arrived on `slot` within the round
-    /// deadline. Counts toward `detect_after` pruning.
-    pub fn on_timeout(&mut self, slot: usize) {
-        self.links[slot].silent += 1;
-        if self.links[slot].silent >= self.spec.detect_after {
-            self.links[slot].alive = false;
-            self.pruned.push(self.peers[slot]);
-        }
-    }
-
-    /// Receive handler: the link behind `slot` is gone.
-    pub fn on_closed(&mut self, slot: usize) {
-        self.links[slot].alive = false;
-        if !self.links[slot].graceful {
-            self.pruned.push(self.peers[slot]);
-        }
-    }
-
-    /// End-of-round pass: boost decay, trace sampling, quorum check.
-    /// Returns `true` when the agent reached convergence quorum (settled
-    /// and every neighbor settled or gone) and should say goodbye.
-    pub fn end_round(&mut self) -> bool {
-        self.boost = (self.boost * self.decay).max(1.0);
-
-        if self.spec.sample_every > 0 && self.rounds.is_multiple_of(self.spec.sample_every) {
-            self.trace.push(NodeSample {
-                round: self.rounds,
-                p: self.p,
-                e: self.e,
-                msgs_sent: self.msgs_sent,
-            });
-        }
-
-        self.settled && self.links.iter().all(|l| !l.alive || l.peer_settled)
-    }
-
-    /// The goodbye frame announcing this agent's clean departure.
-    pub fn goodbye(&self) -> WireMsg {
-        WireMsg::Goodbye {
-            msg: RoundMsg {
-                e: self.e,
-                transfer: 0.0,
-            },
-        }
-    }
-
-    /// A goodbye frame was handed to a live link.
-    pub fn note_goodbye_sent(&mut self) {
-        self.msgs_sent += 1;
-    }
-
-    /// Marks the agent as having exited through convergence quorum.
-    pub fn mark_converged(&mut self) {
-        self.converged = true;
-    }
-
-    /// Stages a mass-carrying lame-duck frame (`Data`/`Goodbye`) absorbed
-    /// on `slot` during the drain.
-    pub fn stage_drain_mass(&mut self, slot: usize, transfer: f64) {
-        self.drained[slot].push(Some(transfer));
-    }
-
-    /// Stages a drained `Heartbeat` — counted, but carrying no mass (and
-    /// never touching `e`, so even a `-0.0` residual survives bit-exact).
-    pub fn stage_drain_heartbeat(&mut self, slot: usize) {
-        self.drained[slot].push(None);
-    }
-
-    /// Applies the staged drain frames in slot order — the same
-    /// slot-sequential accounting the blocking loop performs, so the final
-    /// residual is independent of arrival interleaving.
-    pub fn finish_drain(&mut self) {
-        for slot in 0..self.drained.len() {
-            for k in 0..self.drained[slot].len() {
-                if let Some(transfer) = self.drained[slot][k] {
-                    self.e += transfer;
+            if self.transmit(l, round, mail, out) {
+                self.msgs_sent[a] += 1;
+                if redundant {
+                    self.heartbeats_sent[a] += 1;
+                } else {
+                    self.sent_e[l] = self.e[a];
                 }
-                self.msgs_received += 1;
+                missing += u32::from(self.mail.is_empty(l) && !self.eof[l]);
+            } else {
+                self.e[a] += transfer;
+                self.kill(l);
+                self.pruned.push((a as u32, self.peer[l]));
             }
-            self.drained[slot].clear();
+        }
+        self.missing[a] = missing;
+        self.phase[a] = Phase::AwaitFrames;
+    }
+
+    /// Receive pass of agent `a`: one entry per live link in slot order. A
+    /// link with nothing buffered is closed if its peer's stream ended and
+    /// otherwise counts a silent round (pruned after `detect_after` in a
+    /// row) — the round-deadline path. Then boost decay, trace sampling,
+    /// and the quorum check: settled with every neighbor settled or gone
+    /// sends `Goodbye` on every live link and enters the drain.
+    pub fn receive_round(&mut self, a: usize, out: &mut impl Outlet) {
+        debug_assert_eq!(self.phase[a], Phase::AwaitFrames);
+        let detect_after = self.specs[a].detect_after;
+        for l in self.links(a) {
+            if !self.alive[l] {
+                continue;
+            }
+            match self.mail.pop(l) {
+                Some(m) => {
+                    match m.kind {
+                        EntryKind::Data => {
+                            self.heard_e[l] = m.e;
+                            self.e[a] += m.transfer;
+                            self.peer_settled[l] = m.settled;
+                            self.silent[l] = 0;
+                        }
+                        EntryKind::Heartbeat => {
+                            self.peer_settled[l] = m.settled;
+                            self.silent[l] = 0;
+                        }
+                        EntryKind::Goodbye => {
+                            self.e[a] += m.transfer;
+                            self.graceful[l] = true;
+                            self.peer_settled[l] = true;
+                            self.kill(l);
+                            // Nothing more goes to the draining peer: a
+                            // remote one learns it now, as a local one does
+                            // from the dead reverse link, and does not wait
+                            // out its drain's quiet period.
+                            if self.reverse[l] == REMOTE && !self.eof[l] {
+                                out.eof(l, self.rounds[a]);
+                            }
+                        }
+                        EntryKind::Eof => unreachable!("end of stream is a flag, never mail"),
+                    }
+                    self.msgs_received[a] += 1;
+                }
+                None if self.eof[l] => {
+                    self.kill(l);
+                    self.pruned.push((a as u32, self.peer[l]));
+                }
+                None => {
+                    self.silent[l] += 1;
+                    if self.silent[l] as usize >= detect_after {
+                        self.kill(l);
+                        self.pruned.push((a as u32, self.peer[l]));
+                    }
+                }
+            }
+        }
+
+        let spec = &self.specs[a];
+        self.boost[a] = (self.boost[a] * spec.boost_decay.clamp(0.0, 1.0)).max(1.0);
+        let round = self.rounds[a] as usize;
+        if spec.sample_every > 0 && round.is_multiple_of(spec.sample_every) {
+            self.trace[a].push(NodeSample {
+                round,
+                p: self.p[a],
+                e: self.e[a],
+                msgs_sent: self.msgs_sent[a],
+            });
+        }
+
+        let quorum = self.settled[a]
+            && self
+                .links(a)
+                .all(|l| !self.alive[l] || self.peer_settled[l]);
+        if !quorum {
+            self.phase[a] = Phase::NeedSend;
+            return;
+        }
+        let bye = Mail {
+            e: self.e[a],
+            transfer: 0.0,
+            kind: EntryKind::Goodbye,
+            settled: false,
+        };
+        // A goodbye carries no mass, so a peer already gone loses nothing
+        // by missing it. It counts on every live link either way: whether
+        // a peer that ended this same round (its round cap) got there first
+        // is scheduling, and must not show in the counters.
+        for l in self.links(a) {
+            if self.alive[l] {
+                self.transmit(l, self.rounds[a], bye, out);
+                self.msgs_sent[a] += 1;
+            }
+        }
+        self.phase[a] = Phase::Draining;
+    }
+
+    /// Drain check of agent `a`: a live link closes once it holds the
+    /// peer's goodbye, its stream ended, or (local peers) the peer's link
+    /// back is dead so it can never send again. Entries stay in the
+    /// mailboxes until every link is closed, then [`Self::finish_drain`]
+    /// absorbs them. Returns `true` when the agent finished.
+    pub fn absorb_drain(&mut self, a: usize, out: &mut impl Outlet) -> bool {
+        debug_assert_eq!(self.phase[a], Phase::Draining);
+        let mut open = false;
+        for l in self.links(a) {
+            if !self.alive[l] {
+                continue;
+            }
+            let said_goodbye = matches!(self.mail.back(l), Some(m) if m.kind == EntryKind::Goodbye);
+            let reverse_dead = match self.reverse[l] {
+                REMOTE => false,
+                rev => !self.alive[rev as usize],
+            };
+            if said_goodbye || self.eof[l] || reverse_dead {
+                // Closed, but the held entries stay for `finish_drain`.
+                self.alive[l] = false;
+            } else {
+                open = true;
+            }
+        }
+        if open {
+            return false;
+        }
+        self.finish_drain(a, out);
+        true
+    }
+
+    /// Ends agent `a`'s drain now (every link closed, or the quiet period
+    /// elapsed): absorbs the held entries link by link in slot order — the
+    /// sequential accounting of the blocking drain, so the final residual
+    /// does not depend on arrival interleaving — and finishes converged.
+    /// Heartbeats are counted but never touch `e`, so even a `-0.0`
+    /// residual survives bit-exact.
+    pub fn finish_drain(&mut self, a: usize, out: &mut impl Outlet) {
+        for l in self.links(a) {
+            while let Some(m) = self.mail.pop(l) {
+                if m.kind != EntryKind::Heartbeat {
+                    self.e[a] += m.transfer;
+                }
+                self.msgs_received[a] += 1;
+            }
+        }
+        self.converged[a] = true;
+        self.finish(a, out);
+    }
+
+    /// Agent `a` stops for good: every peer learns its end of stream.
+    pub fn finish(&mut self, a: usize, out: &mut impl Outlet) {
+        self.phase[a] = Phase::Done;
+        self.done += 1;
+        let round = self.rounds[a];
+        for l in self.links(a) {
+            match self.reverse[l] {
+                // A link closed on the peer's goodbye announced its end then.
+                REMOTE if !self.eof[l] && !self.graceful[l] => out.eof(l, round),
+                REMOTE => {}
+                rev => self.set_eof(rev as usize),
+            }
         }
     }
 
-    /// Folds the agent's final state into its report.
-    pub fn into_report(self) -> NodeReport {
-        NodeReport {
-            node: self.spec.id,
-            p: self.p,
-            e: self.e,
-            rounds: self.rounds,
-            converged: self.converged,
-            msgs_sent: self.msgs_sent,
-            msgs_received: self.msgs_received,
-            heartbeats_sent: self.heartbeats_sent,
-            pruned: self.pruned,
-            trace: self.trace,
+    /// Folds every agent's final state into its report, in block order.
+    pub fn into_reports(mut self) -> Vec<NodeReport> {
+        // A stable sort keeps each agent's prunings in event order.
+        self.pruned.sort_by_key(|&(a, _)| a);
+        let mut pruned = self.pruned.into_iter().peekable();
+        (0..self.specs.len())
+            .map(|a| {
+                let tag = a as u32;
+                let mut report = NodeReport {
+                    node: self.specs[a].id,
+                    p: self.p[a],
+                    e: self.e[a],
+                    rounds: self.rounds[a] as usize,
+                    converged: self.converged[a],
+                    msgs_sent: self.msgs_sent[a],
+                    msgs_received: self.msgs_received[a],
+                    heartbeats_sent: self.heartbeats_sent[a],
+                    pruned: Vec::new(),
+                    trace: std::mem::take(&mut self.trace[a]),
+                };
+                while let Some((_, node)) = pruned.next_if(|&(owner, _)| owner == tag) {
+                    report.pruned.push(node as usize);
+                }
+                report
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn data(e: f64) -> Mail {
+        Mail {
+            e,
+            transfer: -e,
+            kind: EntryKind::Data,
+            settled: false,
         }
+    }
+
+    #[test]
+    fn mailbox_spills_past_inline_capacity_and_pops_fifo() {
+        let mut mb = Mailboxes::new(3);
+        let pushed = 3 * MAILBOX_INLINE + 1;
+        for k in 0..pushed {
+            mb.push(1, data(k as f64));
+            // Interleave a neighbor link to show spills stay per link.
+            if k % 2 == 0 {
+                mb.push(2, data(100.0 + k as f64));
+            }
+        }
+        assert_eq!(mb.len[1] as usize, pushed);
+        assert_eq!(mb.spill.len(), 2, "links 1 and 2 both spilled");
+        assert_eq!(mb.back(1), Some(&data((pushed - 1) as f64)));
+        assert!(mb.is_empty(0));
+        for k in 0..pushed {
+            assert_eq!(mb.pop(1), Some(data(k as f64)), "entry {k} out of order");
+            if k == 1 {
+                // Refill mid-drain: new entries queue behind the spill.
+                mb.push(1, data(1000.0));
+            }
+        }
+        assert_eq!(mb.pop(1), Some(data(1000.0)));
+        assert_eq!(mb.pop(1), None);
+        assert_eq!(mb.spill.len(), 1, "link 1's spill is released once drained");
+        mb.clear(2);
+        assert!(mb.spill.is_empty());
+        assert_eq!(mb.pop(2), None);
     }
 }

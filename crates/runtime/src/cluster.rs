@@ -89,11 +89,6 @@ pub struct RuntimeConfig {
     /// Poller shards for the reactor transport; other transports ignore
     /// it.
     pub shards: ShardCount,
-    /// Coalesce reactor round traffic into multi-entry `DataBatch`
-    /// frames (the default). `false` seals one single-entry frame per
-    /// message — the per-message framing mode the runtime bench's
-    /// `--min-msgs-speedup` gate compares against.
-    pub coalesce: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -108,7 +103,6 @@ impl Default for RuntimeConfig {
             handshake_timeout: Duration::from_secs(10),
             sample_every: 0,
             shards: ShardCount::Auto,
-            coalesce: true,
         }
     }
 }
@@ -137,12 +131,13 @@ pub struct ClusterOutcome {
     pub drift: f64,
     /// Merged round telemetry (when `sample_every > 0`).
     pub telemetry: Option<Telemetry>,
-    /// Peak process thread count observed during the run (reactor
-    /// transport only — the number the O(shards)-not-O(agents) claim is
-    /// checked against).
-    pub peak_threads: Option<u32>,
-    /// Peak resident set size in KiB observed during the run (reactor
-    /// transport only).
+    /// Threads the runtime ran on: poller shards plus the coordinator
+    /// (reactor transport only — the number the O(shards)-not-O(agents)
+    /// claim is checked against).
+    pub runtime_threads: Option<u32>,
+    /// Peak resident set size in KiB of the whole process (reactor
+    /// transport only). A process metric: it includes everything else the
+    /// process holds or runs concurrently.
     pub peak_rss_kb: Option<u64>,
     /// Poller shards actually deployed (reactor transport only) — the
     /// auto-tune's pick, re-reported in the cluster header.
@@ -311,7 +306,7 @@ pub fn run_cluster(
 ) -> Result<ClusterOutcome, RuntimeError> {
     let specs = node_specs(&problem, &graph, config, rt)?;
     let hash = graph.topology_hash();
-    let mut peak_threads = None;
+    let mut runtime_threads = None;
     let mut peak_rss_kb = None;
     let mut shards_used = None;
     let reports = match rt.transport {
@@ -321,7 +316,7 @@ pub fn run_cluster(
         TransportKind::Lockstep => lockstep::run_lockstep(specs, &graph)?,
         TransportKind::Reactor => {
             let run = reactor::run_reactor_cluster(specs, &graph, rt)?;
-            peak_threads = Some(run.peak_threads);
+            runtime_threads = Some(run.threads);
             peak_rss_kb = run.peak_rss_kb;
             shards_used = Some(run.shards);
             run.reports
@@ -377,7 +372,7 @@ pub fn run_cluster(
         heartbeats: reports.iter().map(|r| r.heartbeats_sent).sum(),
         drift: (sum_e - (sum_p - budget.0)).abs(),
         telemetry,
-        peak_threads,
+        runtime_threads,
         peak_rss_kb,
         shards_used,
         reports,

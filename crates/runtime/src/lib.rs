@@ -6,10 +6,12 @@
 //! ([`node::run_node`]) speaking a versioned, length-prefixed binary
 //! protocol ([`wire`]) over a pluggable link layer ([`transport::Transport`]):
 //! crossbeam channels in-process ([`channel`]) or real TCP sockets
-//! ([`tcp`]). The per-round math is [`dpc_alg::diba::node_action`] — the
-//! same function the synchronous reference, the thread prototype, and the
-//! simulator execute — so all four substrates converge to the same
-//! allocation (the transport-equivalence tests pin it).
+//! ([`tcp`]). The per-round protocol — the math of
+//! [`dpc_alg::diba::node_action`], heartbeats, pruning, goodbyes and the
+//! drain — lives once, in a columnar agent block that the blocking node
+//! loop, the [`lockstep`] executor and the [`reactor`] shards all drive,
+//! so every substrate converges to the same allocation (the
+//! transport-equivalence tests pin it).
 //!
 //! Lifecycle: dial-low/accept-high link establishment with a `Hello` /
 //! `HelloAck` handshake that validates protocol version, cluster size, and
@@ -39,7 +41,7 @@
 
 #![warn(missing_docs)]
 
-pub mod agent;
+pub(crate) mod agent;
 pub mod channel;
 pub mod cluster;
 pub mod error;

@@ -20,11 +20,12 @@
 //!   link first, so neighbors account the departure instead of burning
 //!   `detect_after` rounds on silence.
 
-use crate::agent::AgentCore;
+use crate::agent::{AgentBlock, Mail, Outlet, Phase};
 use crate::error::RuntimeError;
 use crate::transport::{Delivery, Incoming, Transport};
-use crate::wire::WireMsg;
+use crate::wire::{EntryKind, WireMsg};
 use dpc_alg::diba::NodeParams;
+use dpc_alg::message::RoundMsg;
 use dpc_models::QuadraticUtility;
 use std::time::Duration;
 
@@ -108,13 +109,13 @@ pub struct NodeReport {
 /// Runs one node actor to completion over an established transport.
 /// [`Transport::handshake`] must have succeeded already.
 ///
-/// The protocol arithmetic lives in [`AgentCore`]; this function is the
-/// blocking driver — it moves frames between the core and the transport in
-/// the canonical phase order (send pass, receive pass in slot order,
-/// quorum goodbyes, slot-sequential lame-duck drain). The serial lockstep
-/// executor and the reactor shards drive the identical core through the
-/// identical phases, which is what makes cross-substrate runs bitwise
-/// comparable.
+/// The protocol arithmetic lives in the agent block (`agent::AgentBlock`);
+/// this function drives a block of one agent whose links are all remote —
+/// it moves entries between the block and the transport in the canonical
+/// phase order (send pass, receive pass in slot order, quorum goodbyes,
+/// slot-sequential lame-duck drain). The serial lockstep executor and the
+/// reactor shards drive the identical block code through the identical
+/// phases, which is what makes cross-substrate runs bitwise comparable.
 ///
 /// # Errors
 ///
@@ -128,95 +129,117 @@ pub fn run_node<T: Transport>(
 ) -> Result<NodeReport, RuntimeError> {
     let degree = transport.degree();
     let peers: Vec<usize> = (0..degree).map(|slot| transport.peer(slot)).collect();
-    let mut core = AgentCore::new(spec.clone(), &peers);
+    let mut block = AgentBlock::new(vec![spec.clone()], [peers.as_slice()]);
 
-    while core.rounds_remaining() {
-        core.begin_round();
+    while block.phase(0) == Phase::NeedSend && block.rounds_remaining(0) {
+        // Send pass: one frame per live link; the block reclaims the
+        // transfer when the link turns out to be gone.
+        block.send_round(0, &mut Blocking(transport));
 
-        // Send pass: one frame per live link; the core reclaims the
-        // transfer when the link turns out to be gone so no slack mass is
-        // destroyed.
-        for k in 0..core.outbound_len() {
-            let out = core.outbound(k);
-            let (slot, msg) = (out.slot, out.msg);
-            match transport.send(slot, &msg) {
-                Delivery::Sent => core.note_sent(k),
-                Delivery::Closed => core.note_send_closed(k),
-            }
-        }
-
-        // Receive pass: one frame per (still) live link, slot order.
-        let slots: Vec<usize> = core.round_slots().to_vec();
-        for &slot in &slots {
-            if !core.is_alive(slot) {
+        // Fill each live link's mailbox with its round frame (or its
+        // closure), then run the block's slot-ordered receive pass; a link
+        // left empty counts a silent round.
+        for slot in 0..degree {
+            if !block.is_alive(slot) {
                 continue;
             }
             match transport.recv(slot, spec.round_timeout)? {
-                Incoming::Msg(WireMsg::Data {
-                    msg,
-                    settled: peer_settled,
-                    ..
-                }) => core.on_data(slot, msg, peer_settled),
-                Incoming::Msg(WireMsg::Heartbeat {
-                    settled: peer_settled,
-                    ..
-                }) => core.on_heartbeat(slot, peer_settled),
-                Incoming::Msg(WireMsg::Goodbye { msg }) => core.on_goodbye(slot, msg),
-                Incoming::Msg(other) => {
-                    return Err(RuntimeError::Protocol {
-                        peer: transport.peer_label(slot),
-                        got: other.kind(),
-                    })
-                }
-                Incoming::Timeout => core.on_timeout(slot),
-                Incoming::Closed => core.on_closed(slot),
+                Incoming::Msg(msg) => match mail_of(&msg) {
+                    Some(mail) => block.deliver(slot, mail),
+                    None => {
+                        return Err(RuntimeError::Protocol {
+                            peer: transport.peer_label(slot),
+                            got: msg.kind(),
+                        })
+                    }
+                },
+                Incoming::Timeout => {}
+                Incoming::Closed => block.set_eof(slot),
             }
         }
-
-        // Convergence quorum: we are settled and every neighbor is either
-        // settled or gone.
-        if core.end_round() {
-            for slot in 0..degree {
-                if core.is_alive(slot) {
-                    let bye = core.goodbye();
-                    if transport.send(slot, &bye) == Delivery::Sent {
-                        core.note_goodbye_sent();
-                    }
-                }
-            }
-            // Lame-duck drain: a neighbor may have sent one more round's
-            // frame before it processes our goodbye. Absorb any transfer
-            // mass still in flight so the residual invariant survives the
-            // shutdown, then leave at the first silence/close per link.
-            let drain_timeout = spec.round_timeout.min(Duration::from_millis(100));
-            for slot in 0..degree {
-                if !core.is_alive(slot) {
-                    continue;
-                }
-                loop {
-                    match transport.recv(slot, drain_timeout) {
-                        Ok(Incoming::Msg(WireMsg::Data { msg, .. })) => {
-                            core.stage_drain_mass(slot, msg.transfer);
-                        }
-                        Ok(Incoming::Msg(WireMsg::Heartbeat { .. })) => {
-                            core.stage_drain_heartbeat(slot);
-                        }
-                        Ok(Incoming::Msg(WireMsg::Goodbye { msg })) => {
-                            core.stage_drain_mass(slot, msg.transfer);
-                            break;
-                        }
-                        // Anything else — silence, closure, a handshake
-                        // frame, even a corrupt frame — ends the drain;
-                        // we are leaving either way.
-                        _ => break,
-                    }
-                }
-            }
-            core.finish_drain();
-            core.mark_converged();
-            break;
-        }
+        block.receive_round(0, &mut Blocking(transport));
     }
 
-    Ok(core.into_report())
+    if block.phase(0) == Phase::Draining {
+        // Lame-duck drain: a neighbor may have sent one more round's frame
+        // before it processes our goodbye. Absorb any transfer mass still
+        // in flight so the residual invariant survives the shutdown, then
+        // leave at the first silence/close per link.
+        let drain_timeout = spec.round_timeout.min(Duration::from_millis(100));
+        for slot in 0..degree {
+            if !block.is_alive(slot) {
+                continue;
+            }
+            // Anything but a round frame — silence, closure, a handshake
+            // frame, even a corrupt frame — ends the link's drain; we are
+            // leaving either way.
+            while let Ok(Incoming::Msg(msg)) = transport.recv(slot, drain_timeout) {
+                let Some(mail) = mail_of(&msg) else { break };
+                block.deliver(slot, mail);
+                if mail.kind == EntryKind::Goodbye {
+                    break;
+                }
+            }
+        }
+        block.finish_drain(0, &mut Blocking(transport));
+    }
+    Ok(block.into_reports().pop().expect("a block of one"))
+}
+
+/// The mailbox form of a round frame; `None` for anything else.
+fn mail_of(msg: &WireMsg) -> Option<Mail> {
+    match *msg {
+        WireMsg::Data { msg, settled, .. } => Some(Mail {
+            e: msg.e,
+            transfer: msg.transfer,
+            kind: EntryKind::Data,
+            settled,
+        }),
+        WireMsg::Heartbeat { settled, .. } => Some(Mail {
+            e: 0.0,
+            transfer: 0.0,
+            kind: EntryKind::Heartbeat,
+            settled,
+        }),
+        WireMsg::Goodbye { msg } => Some(Mail {
+            e: msg.e,
+            transfer: msg.transfer,
+            kind: EntryKind::Goodbye,
+            settled: false,
+        }),
+        _ => None,
+    }
+}
+
+/// A blocking transport as the outlet of a block of one.
+struct Blocking<'a, T>(&'a mut T);
+
+impl<T: Transport> Outlet for Blocking<'_, T> {
+    fn send(&mut self, link: usize, round: u32, mail: Mail) -> bool {
+        let msg = match mail.kind {
+            EntryKind::Data => WireMsg::Data {
+                round,
+                msg: RoundMsg {
+                    e: mail.e,
+                    transfer: mail.transfer,
+                },
+                settled: mail.settled,
+            },
+            EntryKind::Heartbeat => WireMsg::Heartbeat {
+                round,
+                settled: mail.settled,
+            },
+            EntryKind::Goodbye => WireMsg::Goodbye {
+                msg: RoundMsg {
+                    e: mail.e,
+                    transfer: mail.transfer,
+                },
+            },
+            EntryKind::Eof => unreachable!("end of stream is never mail"),
+        };
+        self.0.send(link, &msg) == Delivery::Sent
+    }
+
+    /// Blocking links end when their transport drops.
+    fn eof(&mut self, _link: usize, _round: u32) {}
 }

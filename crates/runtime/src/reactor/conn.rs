@@ -1,7 +1,7 @@
-//! Carrier and link state for the reactor: one byte *carrier* per pair of
-//! shards (plus a self carrier per shard), and one lightweight *link* per
-//! agent↔neighbor attachment riding whichever carrier connects the two
-//! owning shards.
+//! Carrier state for the reactor: one byte *carrier* per pair of shards
+//! that share an edge. Links whose two agents live in the same shard never
+//! touch a carrier — their entries go straight into the receiver's mailbox
+//! in the shard's agent block (`agent::AgentBlock`).
 //!
 //! Every carrier moves the identical length-prefixed byte stream:
 //! handshake frames are scalar [`crate::wire::WireMsg`]s, round traffic is
@@ -13,8 +13,7 @@
 //! them to the kernel with vectored writes when the ring wraps.
 
 use super::sys::EventFd;
-use crate::wire::{BatchEntry, BatchWriter, Reassembly};
-use std::collections::VecDeque;
+use crate::wire::{BatchWriter, Reassembly};
 use std::io::{IoSlice, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -220,9 +219,6 @@ pub enum CarrierState {
 
 /// How a carrier moves bytes.
 pub enum CarrierEnd {
-    /// Intra-shard: flushed staging bytes feed this carrier's own
-    /// reassembly buffer directly, inside the pump loop.
-    SelfLoop,
     /// Cross-shard in-memory pipes (fd-budget spill).
     Mem {
         /// Bytes arriving here.
@@ -243,7 +239,7 @@ pub struct Carrier {
     pub peer_shard: usize,
     /// Transport end.
     pub end: CarrierEnd,
-    /// Handshake progress (self carriers are born established).
+    /// Handshake progress.
     pub state: CarrierState,
     /// Partial-frame reassembly for the inbound byte stream.
     pub reasm: Reassembly,
@@ -283,26 +279,6 @@ impl Carrier {
     pub fn peer_label(&self) -> String {
         format!("shard {}", self.peer_shard)
     }
-}
-
-/// One agent↔neighbor attachment. Links no longer own byte streams: their
-/// traffic rides the carrier connecting the two owning shards, and the
-/// inbox holds already-decoded batch entries awaiting the agent's
-/// slot-ordered receive pass.
-pub struct Link {
-    /// Shard-local index of the owning agent.
-    pub agent: u32,
-    /// Shard-local index of the carrier this link's traffic rides.
-    pub carrier: u32,
-    /// The *receiving* shard's index for the reverse link: outgoing
-    /// entries are tagged with it so the peer shard routes them without
-    /// any lookup.
-    pub peer_slot: u32,
-    /// Decoded round entries awaiting the agent's receive pass.
-    pub inbox: VecDeque<BatchEntry>,
-    /// Inbound side exhausted: the peer sent its EOF entry (or the whole
-    /// carrier stream ended).
-    pub eof: bool,
 }
 
 #[cfg(test)]

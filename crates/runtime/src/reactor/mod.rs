@@ -10,58 +10,61 @@
 //! memory and threads are O(agents) and O(shards) respectively, never
 //! O(agents) threads.
 //!
-//! Traffic is coalesced onto **carriers**, one byte stream per pair of
-//! shards (plus a self carrier for intra-shard edges), chosen at bring-up:
+//! Each shard's agents live in one columnar agent block (`agent::AgentBlock`).
+//! An edge between two agents of the same shard never leaves it: a send
+//! writes the receiver's mailbox directly, with no framing. Traffic
+//! between shards is coalesced onto **carriers**, one byte stream per
+//! pair of shards that share an edge, chosen at bring-up:
 //!
-//! * **cross-shard** carriers get a real nonblocking loopback TCP socket
-//!   driven by the shard's epoll — at most `shards·(shards−1)/2` sockets
-//!   total, with an in-memory spill (signalled through the receiving
-//!   shard's eventfd) if the file-descriptor budget is ever that tight;
-//! * **intra-shard** edges ride the shard's self carrier, whose staged
-//!   bytes loop straight back into its own reassembly buffer.
+//! * a real nonblocking loopback TCP socket driven by the shard's epoll —
+//!   at most `shards·(shards−1)/2` sockets total;
+//! * an in-memory pipe (signalled through the receiving shard's eventfd)
+//!   if the file-descriptor budget is ever that tight.
 //!
 //! Every carrier moves the identical length-prefixed byte stream: one
 //! handshake per carrier, then round traffic packed into
 //! [`crate::wire::DataBatch`] frames whose entries are addressed by the
 //! *receiving* shard's link index (computed here, centrally, so routing
-//! needs no lookups). Agents still consume exactly one entry per live
-//! slot per round in slot order, so the arithmetic is bitwise-identical
-//! to the in-process and lockstep substrates at equal seeds (pinned by
-//! the transport-equivalence tests) — coalescing changes how bytes move,
-//! never what they say.
+//! needs no lookups) and decoded into the same mailboxes. Agents still
+//! consume exactly one entry per live slot per round in slot order, so
+//! the arithmetic is bitwise-identical to the in-process and lockstep
+//! substrates at equal seeds (pinned by the transport-equivalence tests)
+//! — where an entry travels changes how it moves, never what it says.
 
 mod conn;
 mod shard;
 mod sys;
 mod wheel;
 
-use conn::{Carrier, CarrierEnd, CarrierState, Link, MemPipe, SockConn};
-use shard::{run_shard, AgentSlot, Shard};
+use conn::{Carrier, CarrierEnd, CarrierState, MemPipe, SockConn};
+use shard::{run_shard, Shard, IN_SHARD};
 use sys::{nofile_limit, Epoll, EventFd};
 
-use crate::agent::AgentCore;
+use crate::agent::AgentBlock;
 use crate::cluster::{RuntimeConfig, ShardCount};
 use crate::error::RuntimeError;
 use crate::node::{NodeReport, NodeSpec};
 use crate::wire::ClusterIdentity;
 use dpc_topology::Graph;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 /// What a reactor deployment produced, beyond the reports themselves.
 pub struct ReactorRun {
     /// Per-node reports, ordered by node id.
     pub reports: Vec<NodeReport>,
-    /// Peak process thread count observed during the run — the number
-    /// that substantiates the O(shards)-not-O(agents) claim.
-    pub peak_threads: u32,
-    /// Peak resident set size (KiB) from `/proc/self/status` (`VmHWM`),
-    /// when the platform exposes it.
+    /// Threads the runtime ran the deployment on: one per shard plus the
+    /// coordinating caller — the number that substantiates the
+    /// O(shards)-not-O(agents) claim.
+    pub threads: u32,
+    /// Peak resident set size (KiB) of the whole *process* (`VmHWM` from
+    /// `/proc/self/status`), when the platform exposes it. A process
+    /// metric, not a runtime one: it also counts whatever else the
+    /// process holds or runs concurrently.
     pub peak_rss_kb: Option<u64>,
     /// Poller shards actually deployed (the auto-tune's pick, or the
     /// clamped fixed request) — re-reported in the cluster header.
@@ -85,7 +88,7 @@ const AUTO_MAX_SHARDS: usize = 8;
 
 /// Resolves the configured shard count against the actual load: a fixed
 /// request is clamped to `[1, n]`, while [`ShardCount::Auto`] sizes from
-/// total round work, host parallelism, and [`AUTO_WORK_PER_SHARD`].
+/// total round work, host parallelism, and `AUTO_WORK_PER_SHARD`.
 pub fn resolve_shard_count(requested: ShardCount, graph: &Graph) -> usize {
     let n = graph.len();
     match requested {
@@ -165,6 +168,49 @@ pub fn run_reactor_cluster(
     let n = graph.len();
     assert_eq!(specs.len(), n, "one node spec per graph node");
     let shards = resolve_shard_count(rt.shards, graph);
+    let handles: Vec<_> = assemble(specs, graph, rt, shards)?
+        .into_iter()
+        .map(|sh| {
+            thread::Builder::new()
+                .name(format!("dpc-reactor-{}", sh.id))
+                .spawn(move || run_shard(sh))
+                .expect("spawning a reactor shard thread")
+        })
+        .collect();
+
+    let mut reports: Vec<NodeReport> = Vec::with_capacity(n);
+    let mut first_err = None;
+    for handle in handles {
+        match handle.join().expect("reactor shard panicked") {
+            Ok(part) => reports.extend(part),
+            Err(e) if first_err.is_none() => first_err = Some(e),
+            Err(_) => {}
+        }
+    }
+    if let Some(e) = first_err {
+        return Err(e);
+    }
+    // Shards host ascending node ranges and report in block order.
+    assert_eq!(reports.len(), n, "every agent reports exactly once");
+    debug_assert!(reports.iter().enumerate().all(|(i, r)| r.node == i));
+    Ok(ReactorRun {
+        reports,
+        threads: shards as u32 + 1,
+        peak_rss_kb: proc_status_value("VmHWM"),
+        shards,
+    })
+}
+
+/// Wires `shards` shards over contiguous node ranges: carriers for every
+/// shard pair that shares an edge, each shard's block, and the routing
+/// columns of its cross-shard links.
+fn assemble(
+    specs: Vec<NodeSpec>,
+    graph: &Graph,
+    rt: &RuntimeConfig,
+    shards: usize,
+) -> Result<Vec<Shard>, RuntimeError> {
+    let n = graph.len();
     let cuts = graph.shard_offsets(shards);
     let identity = ClusterIdentity {
         n_nodes: n as u32,
@@ -178,15 +224,11 @@ pub fn run_reactor_cluster(
         wakes.push(Arc::new(EventFd::new().map_err(bringup_io)?));
     }
 
-    // Classify every edge into its carrier: which shard pairs exchange
-    // traffic, and which shards have intra-shard edges.
+    // Which shard pairs exchange traffic (each gets one carrier).
     let mut pair_set: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut intra = vec![false; shards];
     for (u, v) in graph.edges() {
         let (su, sv) = (shard_of(&cuts, u), shard_of(&cuts, v));
-        if su == sv {
-            intra[su] = true;
-        } else {
+        if su != sv {
             pair_set.insert((su.min(sv), su.max(sv)));
         }
     }
@@ -240,34 +282,29 @@ pub fn run_reactor_cluster(
         }
     }
 
-    // Pass 1: assign every link its shard-local index, in the exact order
-    // pass 2 creates them (nodes ascending, neighbor slots in order), so
-    // outgoing entries can be tagged with the *receiver's* index.
-    let mut link_index: HashMap<(usize, usize), u32> = HashMap::new();
+    // Every link's shard-local index is its block's CSR position (agents
+    // ascending, neighbor slots in order), so an outgoing entry can be
+    // tagged with the *receiver's* index: `first_link[node]` plus the
+    // sender's slot in the receiver's neighbor row.
+    let mut first_link = Vec::with_capacity(n);
     for s in 0..shards {
         let mut counter = 0u32;
         for node in cuts[s]..cuts[s + 1] {
-            for &peer in graph.neighbors(node) {
-                link_index.insert((node, peer), counter);
-                counter += 1;
-            }
+            first_link.push(counter);
+            counter += graph.neighbors(node).len() as u32;
         }
     }
 
-    // Pass 2: assemble each shard — carriers in deterministic order (self
-    // first, then peer shards ascending), agents, and their links.
+    // Assemble each shard: carriers in deterministic order (peer shards
+    // ascending), then the block and its cross-shard routing columns.
     let abort = Arc::new(AtomicBool::new(false));
-    let mut specs_by_node: Vec<Option<NodeSpec>> = specs.into_iter().map(Some).collect();
+    let mut specs = specs.into_iter();
     let mut shard_structs = Vec::with_capacity(shards);
     for s in 0..shards {
         let epoll = Epoll::new().map_err(bringup_io)?;
         let mut carriers: Vec<Carrier> = Vec::new();
         let mut conns: Vec<SockConn> = Vec::new();
-        let mut carrier_of_peer: HashMap<usize, u32> = HashMap::new();
-        if intra[s] {
-            carrier_of_peer.insert(s, carriers.len() as u32);
-            carriers.push(Carrier::new(s, CarrierEnd::SelfLoop, CarrierState::Data));
-        }
+        let mut carrier_of_shard = vec![IN_SHARD; shards];
         for &(a, b) in &pair_set {
             if a != s && b != s {
                 continue;
@@ -297,93 +334,154 @@ pub fn run_reactor_cluster(
                     CarrierEnd::Sock(conn_idx)
                 }
             };
-            carrier_of_peer.insert(peer_shard, carriers.len() as u32);
+            carrier_of_shard[peer_shard] = carriers.len() as u32;
             carriers.push(Carrier::new(peer_shard, end, CarrierState::AwaitHello));
         }
 
-        let mut agents = Vec::with_capacity(cuts[s + 1] - cuts[s]);
-        let mut links: Vec<Link> = Vec::new();
-        #[allow(clippy::needless_range_loop)] // `node` is a graph id, not just an index
-        for node in cuts[s]..cuts[s + 1] {
-            let spec = specs_by_node[node].take().expect("spec consumed once");
-            let round_timeout = spec.round_timeout;
-            let neighbors = graph.neighbors(node);
-            let core = AgentCore::new(spec, neighbors);
-            let agent_idx = agents.len() as u32;
-            let mut link_of_slot = Vec::with_capacity(neighbors.len());
-            for &peer in neighbors {
-                let peer_shard = shard_of(&cuts, peer);
-                let ci = *carrier_of_peer
-                    .get(&peer_shard)
-                    .expect("carrier exists for every edge's shard pair");
-                let link_idx = links.len() as u32;
-                debug_assert_eq!(link_index[&(node, peer)], link_idx, "pass 1 order matches");
-                links.push(Link {
-                    agent: agent_idx,
-                    carrier: ci,
-                    peer_slot: link_index[&(peer, node)],
-                    inbox: VecDeque::new(),
-                    eof: false,
-                });
-                carriers[ci as usize].fed_links.push(link_idx);
-                link_of_slot.push(link_idx);
+        let hosted = cuts[s]..cuts[s + 1];
+        let block = AgentBlock::new(
+            specs.by_ref().take(hosted.len()).collect(),
+            hosted.clone().map(|node| graph.neighbors(node)),
+        );
+        let mut link_carrier = Vec::with_capacity(block.link_count());
+        let mut peer_slot = Vec::with_capacity(block.link_count());
+        for node in hosted {
+            for &peer in graph.neighbors(node) {
+                let ci = carrier_of_shard[shard_of(&cuts, peer)];
+                let back = if ci == IN_SHARD {
+                    IN_SHARD
+                } else {
+                    carriers[ci as usize]
+                        .fed_links
+                        .push(link_carrier.len() as u32);
+                    let row = graph.neighbors(peer);
+                    first_link[peer]
+                        + row.binary_search(&node).expect("graph edges are symmetric") as u32
+                };
+                link_carrier.push(ci);
+                peer_slot.push(back);
             }
-            agents.push(AgentSlot::new(node, core, link_of_slot, round_timeout));
         }
         shard_structs.push(Shard {
             id: s,
             epoll,
             wake: Arc::clone(&wakes[s]),
-            agents,
-            links,
+            block,
+            link_carrier,
+            peer_slot,
             carriers,
             conns,
             identity,
             handshake_timeout: rt.handshake_timeout,
-            coalesce: rt.coalesce,
             abort: Arc::clone(&abort),
         });
     }
 
-    let handles: Vec<_> = shard_structs
-        .into_iter()
-        .map(|sh| {
-            thread::Builder::new()
-                .name(format!("dpc-reactor-{}", sh.id))
-                .spawn(move || run_shard(sh))
-                .expect("spawning a reactor shard thread")
-        })
-        .collect();
+    Ok(shard_structs)
+}
 
-    // The main thread doubles as the resource monitor while shards run.
-    let mut peak_threads = proc_status_value("Threads").unwrap_or(0) as u32;
-    while handles.iter().any(|h| !h.is_finished()) {
-        if let Some(t) = proc_status_value("Threads") {
-            peak_threads = peak_threads.max(t as u32);
-        }
-        thread::sleep(Duration::from_millis(10));
-    }
-    let peak_rss_kb = proc_status_value("VmHWM");
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::node_specs;
+    use crate::wire::{encode_batch_into, encode_frame_into, BatchEntry, EntryKind, WireMsg};
+    use crate::PROTOCOL_VERSION;
+    use dpc_alg::diba::DibaConfig;
+    use dpc_alg::problem::PowerBudgetProblem;
+    use dpc_models::units::Watts;
+    use dpc_models::workload::ClusterBuilder;
+    use std::io::Write;
+    use std::time::Duration;
 
-    let mut tagged: Vec<(usize, NodeReport)> = Vec::with_capacity(n);
-    let mut first_err = None;
-    for handle in handles {
-        match handle.join().expect("reactor shard panicked") {
-            Ok(part) => tagged.extend(part),
-            Err(e) if first_err.is_none() => first_err = Some(e),
-            Err(_) => {}
+    /// Runs shard 1 of a two-shard 6-ring while the test plays shard 0:
+    /// `bytes` go down shard 1's inbound socket, and the error shard 1
+    /// ends with comes back.
+    fn shard_one_fed(bytes: &[u8]) -> RuntimeError {
+        let graph = Graph::ring(6);
+        let cluster = ClusterBuilder::new(6).seed(3).build();
+        let problem = PowerBudgetProblem::new(cluster.utilities(), Watts(1020.0)).unwrap();
+        let rt = RuntimeConfig {
+            handshake_timeout: Duration::from_secs(5),
+            ..RuntimeConfig::default()
+        };
+        let specs = node_specs(&problem, &graph, DibaConfig::default(), &rt).unwrap();
+        let mut shards = assemble(specs, &graph, &rt, 2).unwrap();
+        let victim = shards.pop().expect("shard 1");
+        let mut played = shards.pop().expect("shard 0");
+        let mut stream = played.conns.pop().expect("a socket carrier").stream;
+        stream.set_nonblocking(false).unwrap();
+        stream.write_all(bytes).unwrap();
+        let err = run_shard(victim).expect_err("malformed input must fail the shard");
+        drop(stream);
+        err
+    }
+
+    fn hello() -> Vec<u8> {
+        let graph = Graph::ring(6);
+        let mut bytes = Vec::new();
+        encode_frame_into(
+            &WireMsg::Hello {
+                version: PROTOCOL_VERSION,
+                node: 0,
+                n_nodes: 6,
+                topology_hash: graph.topology_hash(),
+            },
+            &mut bytes,
+        );
+        bytes
+    }
+
+    fn entry(slot: u32) -> BatchEntry {
+        BatchEntry {
+            slot,
+            e: -1.0,
+            transfer: 0.0,
+            settled: false,
+            kind: EntryKind::Data,
         }
     }
-    if let Some(e) = first_err {
-        return Err(e);
+
+    #[test]
+    fn malformed_cross_shard_input_ends_in_named_errors() {
+        // Shard 1 hosts nodes 3..6; node 3's links are [2 (shard 0), 4
+        // (in-shard)], so link 1 never rides a carrier.
+        let misrouted = |slot| {
+            let mut bytes = hello();
+            encode_batch_into(1, &[entry(slot)], &mut bytes);
+            shard_one_fed(&bytes)
+        };
+        for slot in [1, 99] {
+            match misrouted(slot) {
+                RuntimeError::Protocol { peer, got } => {
+                    assert_eq!((peer.as_str(), got), ("shard 0", "misrouted-batch-entry"));
+                }
+                other => panic!("slot {slot}: expected a misrouted entry, got {other:?}"),
+            }
+        }
+
+        let mut early = Vec::new();
+        encode_batch_into(1, &[entry(0)], &mut early);
+        match shard_one_fed(&early) {
+            RuntimeError::Protocol { peer, got } => {
+                assert_eq!((peer.as_str(), got), ("shard 0", "data-batch"));
+            }
+            other => panic!("expected a pre-handshake batch error, got {other:?}"),
+        }
+
+        let mut again = hello();
+        again.extend_from_slice(&hello());
+        match shard_one_fed(&again) {
+            RuntimeError::Protocol { peer, got } => {
+                assert_eq!((peer.as_str(), got), ("shard 0", "hello"));
+            }
+            other => panic!("expected a mid-run handshake error, got {other:?}"),
+        }
+
+        let mut garbage = hello();
+        garbage.extend_from_slice(&[3, 0, 0, 0, 0xEE, 0xEE, 0xEE]);
+        match shard_one_fed(&garbage) {
+            RuntimeError::Decode { peer, .. } => assert_eq!(peer, "shard 0"),
+            other => panic!("expected a decode error, got {other:?}"),
+        }
     }
-    assert_eq!(tagged.len(), n, "every agent reports exactly once");
-    tagged.sort_by_key(|(node, _)| *node);
-    Ok(ReactorRun {
-        reports: tagged.into_iter().map(|(_, r)| r).collect(),
-        // The sampler can miss a short-lived peak; the floor is exact.
-        peak_threads: peak_threads.max(shards as u32 + 1),
-        peak_rss_kb,
-        shards,
-    })
 }

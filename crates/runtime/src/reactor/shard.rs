@@ -1,25 +1,31 @@
-//! One poller shard: an epoll loop owning a contiguous range of agents,
-//! their links, the carriers those links ride, and a deadline wheel.
+//! One poller shard: an epoll loop owning a contiguous range of agents —
+//! one [`AgentBlock`] — the carriers its cross-shard links ride, and a
+//! deadline wheel.
 //!
 //! The loop body is: wait (bounded by the wheel's next deadline) → ingest
-//! carrier bytes into per-carrier reassembly buffers → route decoded batch
-//! entries into per-link inboxes → step every agent whose round inputs are
-//! satisfied → flush staged outbound bytes, one write per carrier → fire
-//! expired timers. An agent steps round `r` only when every live slot has
-//! a buffered entry (or a link-level EOF), and its receive pass consumes
-//! them in slot order — so the values computed are independent of the
-//! order bytes happened to arrive in, which is what makes reactor runs
-//! bitwise-identical to the inproc and lockstep substrates.
+//! carrier bytes into per-carrier reassembly buffers → deliver decoded
+//! batch entries into the block's mailboxes → step every agent the block
+//! reports ready → flush staged outbound bytes, one write per carrier →
+//! fire expired timers. A send to an agent of the same shard never leaves
+//! the block: it lands in the receiver's mailbox directly, so intra-shard
+//! traffic completes entire rounds inside one pump with no framing.
 //!
-//! The hot path allocates nothing: entries encode straight into each
-//! carrier's persistent staging buffer through a [`BatchWriter`], inbound
-//! batches decode into one reused [`DataBatch`] scratch, and the receive
-//! pass borrows a reused slot list instead of cloning the round's slots.
+//! An agent steps round `r` only when every live link holds an entry (or
+//! its stream ended) — counted per agent as entries land, never scanned —
+//! and its receive pass consumes them in slot order, so the values
+//! computed are independent of the order bytes happened to arrive in,
+//! which is what makes reactor runs bitwise-identical to the inproc and
+//! lockstep substrates.
+//!
+//! The hot path allocates nothing: cross-shard entries encode straight
+//! into each carrier's persistent staging buffer through a
+//! [`crate::wire::BatchWriter`], and inbound batches decode into one
+//! reused [`DataBatch`] scratch.
 
-use super::conn::{Carrier, CarrierEnd, CarrierState, Link, SockConn};
+use super::conn::{Carrier, CarrierEnd, CarrierState, SockConn};
 use super::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use super::wheel::{TimerKey, TimerKind, Wheel};
-use crate::agent::AgentCore;
+use crate::agent::{AgentBlock, Mail, Outlet, Phase};
 use crate::error::{HandshakeFailure, RuntimeError};
 use crate::node::NodeReport;
 use crate::wire::{
@@ -34,61 +40,14 @@ use std::time::{Duration, Instant};
 /// Epoll token reserved for the shard's wakeup eventfd.
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// Where an agent is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Carriers still handshaking; rounds not started.
-    Handshaking,
-    /// Ready to compute and send the next round.
-    NeedSend,
-    /// Round sent; waiting for every live slot's entry.
-    AwaitFrames,
-    /// Goodbyes sent; absorbing in-flight entries.
-    Draining,
-    /// Report folded.
-    Done,
-}
+/// Agent steps between mid-pump carrier flushes. A step is a few hundred
+/// nanoseconds and a flush with nothing staged costs a header check per
+/// carrier, so peer shards wait at most tens of microseconds for entries
+/// staged early in a long pump.
+const FLUSH_EVERY: usize = 256;
 
-/// One agent hosted by this shard.
-pub struct AgentSlot {
-    /// Global node id.
-    pub node: usize,
-    /// The protocol core (taken when the report folds).
-    pub core: Option<AgentCore>,
-    /// Shard-local link index per slot.
-    pub link_of_slot: Vec<u32>,
-    /// Per-link receive deadline (from the node spec).
-    pub round_timeout: Duration,
-    phase: Phase,
-    /// When this agent entered its current frame-starved wait.
-    stall_since: Option<Instant>,
-    /// Rounds sent so far; stamps outgoing batch entries.
-    round_seq: u32,
-    drain_seq: u32,
-    drain_open: Vec<bool>,
-}
-
-impl AgentSlot {
-    /// A freshly wired agent, not yet released by the carrier handshakes.
-    pub fn new(
-        node: usize,
-        core: AgentCore,
-        link_of_slot: Vec<u32>,
-        round_timeout: Duration,
-    ) -> AgentSlot {
-        AgentSlot {
-            node,
-            core: Some(core),
-            link_of_slot,
-            round_timeout,
-            phase: Phase::Handshaking,
-            stall_since: None,
-            round_seq: 0,
-            drain_seq: 0,
-            drain_open: Vec::new(),
-        }
-    }
-}
+/// `link_carrier` marker of a link whose peer is hosted by the same shard.
+pub const IN_SHARD: u32 = u32::MAX;
 
 /// Everything one shard thread owns.
 pub struct Shard {
@@ -98,12 +57,17 @@ pub struct Shard {
     pub epoll: Epoll,
     /// Wakeup eventfd (registered under [`WAKE_TOKEN`]).
     pub wake: Arc<EventFd>,
-    /// Hosted agents.
-    pub agents: Vec<AgentSlot>,
-    /// All links of hosted agents.
-    pub links: Vec<Link>,
+    /// Hosted agents and their links.
+    pub block: AgentBlock,
+    /// Per block link: the carrier a cross-shard link rides, or
+    /// [`IN_SHARD`].
+    pub link_carrier: Vec<u32>,
+    /// Per block link: the *receiving* shard's index for the reverse link
+    /// of a cross-shard link. Outgoing entries are tagged with it so the
+    /// peer shard routes them without any lookup.
+    pub peer_slot: Vec<u32>,
     /// Byte carriers: one per peer shard this shard exchanges traffic
-    /// with, plus the self carrier for intra-shard edges.
+    /// with.
     pub carriers: Vec<Carrier>,
     /// Socket connections backing [`CarrierEnd::Sock`] carriers.
     pub conns: Vec<SockConn>,
@@ -111,32 +75,100 @@ pub struct Shard {
     pub identity: crate::wire::ClusterIdentity,
     /// Handshake deadline.
     pub handshake_timeout: Duration,
-    /// Coalesce round traffic into multi-entry batches (`false` seals a
-    /// single-entry frame per message — the bench comparison mode).
-    pub coalesce: bool,
-    /// Set by any shard (or the driver) to abandon the run.
+    /// Set by any shard (or the coordinator) to abandon the run.
     pub abort: Arc<std::sync::atomic::AtomicBool>,
+}
+
+/// The shard's cross-shard links as the block's [`Outlet`]: entries are
+/// encoded into the staging buffer of the carrier each link rides.
+struct Wire<'a> {
+    carriers: &'a mut [Carrier],
+    conns: &'a [SockConn],
+    link_carrier: &'a [u32],
+    peer_slot: &'a [u32],
+}
+
+impl Wire<'_> {
+    /// Stages one batch entry for `link`. Returns `false` when the
+    /// carrier's outbound side is gone, mirroring the blocking transports'
+    /// `Delivery::Closed`; a staged entry counts as delivered, exactly like
+    /// buffered blocking TCP.
+    fn push(&mut self, link: usize, round: u32, mail: Mail) -> bool {
+        let c = &mut self.carriers[self.link_carrier[link] as usize];
+        if c.closed_out {
+            return false;
+        }
+        if let CarrierEnd::Sock(conn_idx) = c.end {
+            if self.conns[conn_idx as usize].closed {
+                return false;
+            }
+        }
+        let entry = BatchEntry {
+            slot: self.peer_slot[link],
+            e: mail.e,
+            transfer: mail.transfer,
+            settled: mail.settled,
+            kind: mail.kind,
+        };
+        c.writer.push(&mut c.staging, round, entry, true);
+        true
+    }
+}
+
+impl Outlet for Wire<'_> {
+    fn send(&mut self, link: usize, round: u32, mail: Mail) -> bool {
+        self.push(link, round, mail)
+    }
+
+    /// One in-band EOF entry: peers see a per-link FIN ordered after the
+    /// entries already staged, while the carrier stays open for the
+    /// shard's other agents.
+    fn eof(&mut self, link: usize, round: u32) {
+        let eof = Mail {
+            e: 0.0,
+            transfer: 0.0,
+            kind: EntryKind::Eof,
+            settled: false,
+        };
+        self.push(link, round, eof);
+    }
+}
+
+/// The block and its outlet, borrowed side by side.
+fn split(shard: &mut Shard) -> (&mut AgentBlock, Wire<'_>) {
+    (
+        &mut shard.block,
+        Wire {
+            carriers: &mut shard.carriers,
+            conns: &shard.conns,
+            link_carrier: &shard.link_carrier,
+            peer_slot: &shard.peer_slot,
+        },
+    )
 }
 
 /// The shard loop's working state.
 struct Loop {
     wheel: Wheel,
-    dirty: Vec<u32>,
-    dirty_flag: Vec<bool>,
-    done: usize,
-    reports: Vec<(usize, NodeReport)>,
     /// Socket read buffer.
     scratch: Vec<u8>,
     /// Mem-pipe take buffer.
     mem_scratch: Vec<u8>,
-    /// Receive-pass slot list (avoids cloning `round_slots` per round).
-    slot_scratch: Vec<usize>,
     /// Inbound batch decode scratch, reused across every frame.
     batch: DataBatch,
+    /// Fired timer keys, reused across every sweep.
+    expired: Vec<TimerKey>,
     /// Carriers whose handshake has not completed.
     hs_pending: usize,
-    round_check_armed: bool,
-    min_round_timeout: Duration,
+    /// Every carrier is established and the agents run rounds.
+    released: bool,
+    /// Per agent: the round it was caught waiting in by the previous round
+    /// check (`u32::MAX` when it was not waiting).
+    stalled_at: Vec<u32>,
+    /// Per agent: lazy-cancellation sequence of its drain timer.
+    drain_seq: Vec<u32>,
+    /// Period of the round check: the shortest round deadline hosted.
+    round_check: Duration,
 }
 
 /// Runs the shard to completion: every hosted agent reports, a protocol
@@ -146,29 +178,21 @@ struct Loop {
 /// # Errors
 ///
 /// First [`RuntimeError`] hit by any hosted carrier or agent.
-pub fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeError> {
-    let n_agents = shard.agents.len();
+pub fn run_shard(mut shard: Shard) -> Result<Vec<NodeReport>, RuntimeError> {
+    let n_agents = shard.block.len();
     let origin = Instant::now();
     let mut lp = Loop {
         wheel: Wheel::new(Duration::from_millis(8), 1024, origin),
-        dirty: Vec::with_capacity(n_agents),
-        dirty_flag: vec![false; n_agents],
-        done: 0,
-        reports: Vec::with_capacity(n_agents),
         scratch: vec![0u8; 64 * 1024],
         mem_scratch: Vec::new(),
-        slot_scratch: Vec::new(),
         batch: DataBatch::default(),
-        hs_pending: shard
-            .carriers
-            .iter()
-            .filter(|c| !matches!(c.end, CarrierEnd::SelfLoop))
-            .count(),
-        round_check_armed: false,
-        min_round_timeout: shard
-            .agents
-            .iter()
-            .map(|a| a.round_timeout)
+        expired: Vec::new(),
+        hs_pending: shard.carriers.len(),
+        released: false,
+        stalled_at: vec![u32::MAX; n_agents],
+        drain_seq: vec![0; n_agents],
+        round_check: (0..n_agents)
+            .map(|a| shard.block.spec(a).round_timeout)
             .min()
             .unwrap_or(Duration::from_secs(2)),
     };
@@ -182,7 +206,7 @@ pub fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeEr
     // shards observe closed streams instead of waiting out their failure
     // detectors.
     teardown(&mut shard);
-    result.map(|()| lp.reports)
+    result.map(|()| shard.block.into_reports())
 }
 
 fn drive(shard: &mut Shard, lp: &mut Loop, n_agents: usize) -> Result<(), RuntimeError> {
@@ -209,9 +233,6 @@ fn drive(shard: &mut Shard, lp: &mut Loop, n_agents: usize) -> Result<(), Runtim
     // so bring-up cost is O(shard pairs).
     let now = Instant::now();
     for ci in 0..shard.carriers.len() {
-        if matches!(shard.carriers[ci].end, CarrierEnd::SelfLoop) {
-            continue;
-        }
         if shard.id < shard.carriers[ci].peer_shard {
             let hello = WireMsg::Hello {
                 version: PROTOCOL_VERSION,
@@ -240,13 +261,12 @@ fn drive(shard: &mut Shard, lp: &mut Loop, n_agents: usize) -> Result<(), Runtim
     let mut events = vec![EpollEvent::default(); 512];
     loop {
         pump(shard, lp)?;
-        if lp.done == n_agents {
+        if shard.block.done() == n_agents {
             return Ok(());
         }
         if shard.abort.load(Ordering::Acquire) {
             return Ok(());
         }
-        arm_round_check(shard, lp);
 
         let now = Instant::now();
         let timeout_ms = match lp.wheel.next_wake(now) {
@@ -275,41 +295,43 @@ fn drive(shard: &mut Shard, lp: &mut Loop, n_agents: usize) -> Result<(), Runtim
     }
 }
 
-/// Every carrier established: move handshake-gated agents into the round
-/// machine.
+/// Every carrier established: start the agents' rounds, and the periodic
+/// round check that backs up frame-starved agents.
 fn release_agents(shard: &mut Shard, lp: &mut Loop) {
-    for a in 0..shard.agents.len() {
-        if shard.agents[a].phase == Phase::Handshaking {
-            shard.agents[a].phase = Phase::NeedSend;
-            mark_dirty(lp, a as u32);
-        }
-    }
+    lp.released = true;
+    shard.block.wake_all();
+    arm_round_check(lp);
 }
 
-/// Ingests, steps, ingests again — until no entries move and no agent can
-/// advance — then flushes every cross-shard carrier in one write each.
-/// Intra-shard traffic completes entire rounds inside one pump.
+/// Steps ready agents and ingests mem-pipe bytes until neither moves
+/// anything, then flushes every carrier in one write each. Intra-shard
+/// traffic completes entire rounds inside one pump.
+///
+/// Agents step in the order they became ready, so the ones woken by a peer
+/// shard's entries — the agents on the shard boundary — go first, and the
+/// carriers are flushed every [`FLUSH_EVERY`] steps rather than only at
+/// the end: the peer shard gets the next round's boundary entries while
+/// this shard is still working through its interior, and the two shards
+/// overlap instead of taking turns.
 fn pump(shard: &mut Shard, lp: &mut Loop) -> Result<(), RuntimeError> {
     loop {
-        let mut moved = sweep_mem(shard, lp)?;
-        moved |= ingest_self(shard, lp)?;
-        if lp.dirty.is_empty() && !moved {
-            break;
+        let moved = sweep_mem(shard, lp)?;
+        let mut stepped = 0usize;
+        if lp.released {
+            while let Some(a) = shard.block.pop_ready() {
+                step_agent(shard, lp, a);
+                stepped += 1;
+                if stepped.is_multiple_of(FLUSH_EVERY) {
+                    flush_cross(shard);
+                }
+            }
         }
-        while let Some(a) = lp.dirty.pop() {
-            lp.dirty_flag[a as usize] = false;
-            step_agent(shard, lp, a)?;
+        if !moved && stepped == 0 {
+            break;
         }
     }
     flush_cross(shard);
     Ok(())
-}
-
-fn mark_dirty(lp: &mut Loop, agent: u32) {
-    if !lp.dirty_flag[agent as usize] {
-        lp.dirty_flag[agent as usize] = true;
-        lp.dirty.push(agent);
-    }
 }
 
 /// Takes pending bytes out of every dirty cross-shard mem carrier into
@@ -319,7 +341,7 @@ fn sweep_mem(shard: &mut Shard, lp: &mut Loop) -> Result<bool, RuntimeError> {
     for ci in 0..shard.carriers.len() {
         let rx = match &shard.carriers[ci].end {
             CarrierEnd::Mem { rx, .. } => Arc::clone(rx),
-            _ => continue,
+            CarrierEnd::Sock(_) => continue,
         };
         if shard.carriers[ci].eof || !rx.is_dirty() {
             continue;
@@ -331,37 +353,16 @@ fn sweep_mem(shard: &mut Shard, lp: &mut Loop) -> Result<bool, RuntimeError> {
             moved |= route_carrier(shard, lp, ci)?;
         }
         if closed {
-            carrier_stream_eof(shard, lp, ci);
+            carrier_stream_eof(shard, ci);
             moved = true;
         }
     }
     Ok(moved)
 }
 
-/// Seals and loops each self carrier's staged bytes back into its own
-/// reassembly buffer — intra-shard edges ride the identical byte stream
-/// as cross-shard ones, just without a kernel in the middle.
-fn ingest_self(shard: &mut Shard, lp: &mut Loop) -> Result<bool, RuntimeError> {
-    let mut moved = false;
-    for ci in 0..shard.carriers.len() {
-        if !matches!(shard.carriers[ci].end, CarrierEnd::SelfLoop) {
-            continue;
-        }
-        let c = &mut shard.carriers[ci];
-        c.writer.seal(&mut c.staging);
-        if c.staging.is_empty() {
-            continue;
-        }
-        c.reasm.push(&c.staging);
-        c.staging.clear();
-        moved |= route_carrier(shard, lp, ci)?;
-    }
-    Ok(moved)
-}
-
 /// Pops every complete frame out of a carrier's reassembly buffer,
 /// running scalar frames through the handshake state machine and batch
-/// entries into their links' inboxes.
+/// entries into their links' mailboxes.
 fn route_carrier(shard: &mut Shard, lp: &mut Loop, ci: usize) -> Result<bool, RuntimeError> {
     let mut any = false;
     loop {
@@ -386,7 +387,7 @@ fn route_carrier(shard: &mut Shard, lp: &mut Loop, ci: usize) -> Result<bool, Ru
                 }
                 for k in 0..lp.batch.entries.len() {
                     let entry = lp.batch.entries[k];
-                    route_entry(shard, lp, ci, entry)?;
+                    route_entry(shard, ci, entry)?;
                 }
             }
             Ok(Some(FrameKind::Msg(msg))) => {
@@ -406,48 +407,41 @@ fn route_carrier(shard: &mut Shard, lp: &mut Loop, ci: usize) -> Result<bool, Ru
     }
 }
 
-/// Delivers one decoded entry to the link it addresses.
-fn route_entry(
-    shard: &mut Shard,
-    lp: &mut Loop,
-    ci: usize,
-    entry: BatchEntry,
-) -> Result<(), RuntimeError> {
+/// Delivers one decoded entry to the link it addresses, which must ride
+/// the carrier it came in on.
+fn route_entry(shard: &mut Shard, ci: usize, entry: BatchEntry) -> Result<(), RuntimeError> {
     let slot = entry.slot as usize;
-    if slot >= shard.links.len() || shard.links[slot].carrier as usize != ci {
+    if shard.link_carrier.get(slot) != Some(&(ci as u32)) {
         return Err(RuntimeError::Protocol {
             peer: shard.carriers[ci].peer_label(),
             got: "misrouted-batch-entry",
         });
     }
-    let link = &mut shard.links[slot];
-    let agent = link.agent;
     if entry.kind == EntryKind::Eof {
-        if !link.eof {
-            link.eof = true;
-            mark_dirty(lp, agent);
-        }
+        shard.block.set_eof(slot);
     } else {
-        link.inbox.push_back(entry);
-        mark_dirty(lp, agent);
+        shard.block.deliver(
+            slot,
+            Mail {
+                e: entry.e,
+                transfer: entry.transfer,
+                kind: entry.kind,
+                settled: entry.settled,
+            },
+        );
     }
     Ok(())
 }
 
 /// The whole inbound stream of a carrier ended (peer shard finished or
 /// died): every link riding it is at EOF.
-fn carrier_stream_eof(shard: &mut Shard, lp: &mut Loop, ci: usize) {
+fn carrier_stream_eof(shard: &mut Shard, ci: usize) {
     if shard.carriers[ci].eof {
         return;
     }
     shard.carriers[ci].eof = true;
-    for i in 0..shard.carriers[ci].fed_links.len() {
-        let link_idx = shard.carriers[ci].fed_links[i] as usize;
-        let link = &mut shard.links[link_idx];
-        if !link.eof {
-            link.eof = true;
-            mark_dirty(lp, link.agent);
-        }
+    for &link in &shard.carriers[ci].fed_links {
+        shard.block.set_eof(link as usize);
     }
 }
 
@@ -576,38 +570,12 @@ fn stage_msg(shard: &mut Shard, ci: usize, msg: &WireMsg) {
     encode_frame_into(msg, &mut c.staging);
 }
 
-/// Stages one batch entry on a link. Returns `false` when the link is
-/// provably dead — the peer sent its EOF entry or the carrier's stream
-/// failed — mirroring the blocking transports' `Delivery::Closed`; a
-/// staged entry counts as delivered, exactly like buffered blocking TCP.
-fn send_entry(shard: &mut Shard, link_idx: u32, round: u32, entry: BatchEntry) -> bool {
-    let link = &shard.links[link_idx as usize];
-    if link.eof {
-        return false;
-    }
-    let ci = link.carrier as usize;
-    if shard.carriers[ci].closed_out {
-        return false;
-    }
-    if let CarrierEnd::Sock(conn_idx) = shard.carriers[ci].end {
-        if shard.conns[conn_idx as usize].closed {
-            return false;
-        }
-    }
-    let c = &mut shard.carriers[ci];
-    c.writer.push(&mut c.staging, round, entry, shard.coalesce);
-    true
-}
-
-/// Moves every non-self carrier's staged bytes to its transport: one
+/// Moves every carrier's staged bytes to its transport: one
 /// mutex-guarded append per mem carrier, one (vectored) socket write per
 /// sock carrier. This — not per-message writes — is what makes the
 /// per-round wire cost O(carriers).
 fn flush_cross(shard: &mut Shard) {
     for ci in 0..shard.carriers.len() {
-        if matches!(shard.carriers[ci].end, CarrierEnd::SelfLoop) {
-            continue;
-        }
         let c = &mut shard.carriers[ci];
         c.writer.seal(&mut c.staging);
         if c.staging.is_empty() {
@@ -629,7 +597,6 @@ fn flush_cross(shard: &mut Shard) {
                 c.staging.clear();
                 flush_conn(shard, conn_idx);
             }
-            CarrierEnd::SelfLoop => unreachable!("filtered above"),
         }
     }
 }
@@ -710,328 +677,49 @@ fn handle_conn_event(
                 conn.closed = true;
                 let _ = shard.epoll.delete(conn.stream.as_raw_fd());
             }
-            carrier_stream_eof(shard, lp, ci);
+            carrier_stream_eof(shard, ci);
         }
     }
     Ok(())
 }
 
-/// Is every live slot of this agent's round satisfiable right now?
-fn round_ready(shard: &Shard, a: u32) -> bool {
-    let agent = &shard.agents[a as usize];
-    let core = agent.core.as_ref().expect("live core");
-    for &slot in core.round_slots() {
-        if !core.is_alive(slot) {
-            continue;
-        }
-        let link = &shard.links[agent.link_of_slot[slot] as usize];
-        if link.inbox.is_empty() && !link.eof {
-            return false;
-        }
-    }
-    true
-}
-
-/// Advances one agent as far as buffered input allows.
-fn step_agent(shard: &mut Shard, lp: &mut Loop, a: u32) -> Result<(), RuntimeError> {
+/// Advances one agent as far as its buffered input allows.
+fn step_agent(shard: &mut Shard, lp: &mut Loop, a: usize) {
+    let (block, mut wire) = split(shard);
     loop {
-        match shard.agents[a as usize].phase {
-            Phase::Handshaking | Phase::Done => return Ok(()),
-            Phase::NeedSend => {
-                if !shard.agents[a as usize]
-                    .core
-                    .as_ref()
-                    .expect("live core")
-                    .rounds_remaining()
-                {
-                    finish_agent(shard, lp, a, false);
-                    return Ok(());
-                }
-                send_round(shard, a);
-                shard.agents[a as usize].phase = Phase::AwaitFrames;
+        match block.phase(a) {
+            Phase::Done => return,
+            Phase::NeedSend if !block.rounds_remaining(a) => {
+                block.finish(a, &mut wire);
+                return;
             }
-            Phase::AwaitFrames => {
-                if !round_ready(shard, a) {
-                    if shard.agents[a as usize].stall_since.is_none() {
-                        shard.agents[a as usize].stall_since = Some(Instant::now());
-                    }
-                    return Ok(());
-                }
-                shard.agents[a as usize].stall_since = None;
-                receive_round(shard, lp, a, false)?;
-            }
+            Phase::NeedSend => block.send_round(a, &mut wire),
+            Phase::AwaitFrames if block.is_ready(a) => block.receive_round(a, &mut wire),
+            Phase::AwaitFrames => return,
             Phase::Draining => {
-                absorb_drain(shard, lp, a);
-                return Ok(());
+                if !block.absorb_drain(a, &mut wire) {
+                    // The drain's start, or an entry arriving, restarts
+                    // the quiet period, like the blocking drain's
+                    // per-receive timeout.
+                    arm_drain_timer(lp, block, a);
+                }
+                return;
             }
         }
     }
 }
 
-/// Converts one outbound scalar message into its batch-entry form. The
-/// receiver reconstructs the identical `on_data`/`on_heartbeat` call, so
-/// the arithmetic cannot tell the framings apart.
-fn entry_of(msg: &WireMsg, peer_slot: u32) -> (u32, BatchEntry) {
-    match *msg {
-        WireMsg::Data {
-            round,
-            msg,
-            settled,
-        } => (
-            round,
-            BatchEntry {
-                slot: peer_slot,
-                e: msg.e,
-                transfer: msg.transfer,
-                settled,
-                kind: EntryKind::Data,
-            },
-        ),
-        WireMsg::Heartbeat { round, settled } => (
-            round,
-            BatchEntry {
-                slot: peer_slot,
-                e: 0.0,
-                transfer: 0.0,
-                settled,
-                kind: EntryKind::Heartbeat,
-            },
-        ),
-        ref other => unreachable!("outbound round message {}", other.kind()),
-    }
-}
-
-fn send_round(shard: &mut Shard, a: u32) {
-    let agent = &mut shard.agents[a as usize];
-    let core = agent.core.as_mut().expect("live core");
-    core.begin_round();
-    agent.round_seq = agent.round_seq.wrapping_add(1);
-    for k in 0..shard.agents[a as usize]
-        .core
-        .as_ref()
-        .expect("live core")
-        .outbound_len()
-    {
-        let (slot, msg) = {
-            let out = shard.agents[a as usize]
-                .core
-                .as_ref()
-                .expect("live core")
-                .outbound(k);
-            (out.slot, out.msg)
-        };
-        let link_idx = shard.agents[a as usize].link_of_slot[slot];
-        let (round, entry) = entry_of(&msg, shard.links[link_idx as usize].peer_slot);
-        let delivered = send_entry(shard, link_idx, round, entry);
-        let core = shard.agents[a as usize].core.as_mut().expect("live core");
-        if delivered {
-            core.note_sent(k);
-        } else {
-            core.note_send_closed(k);
-        }
-    }
-}
-
-/// The slot-ordered receive pass; `force` substitutes a timeout for every
-/// missing entry (the round-deadline path — never taken in healthy runs).
-fn receive_round(
-    shard: &mut Shard,
-    lp: &mut Loop,
-    a: u32,
-    force: bool,
-) -> Result<(), RuntimeError> {
-    lp.slot_scratch.clear();
-    lp.slot_scratch.extend_from_slice(
-        shard.agents[a as usize]
-            .core
-            .as_ref()
-            .expect("live core")
-            .round_slots(),
-    );
-    for i in 0..lp.slot_scratch.len() {
-        let slot = lp.slot_scratch[i];
-        let (alive, link_idx) = {
-            let agent = &shard.agents[a as usize];
-            let core = agent.core.as_ref().expect("live core");
-            (core.is_alive(slot), agent.link_of_slot[slot])
-        };
-        if !alive {
-            continue;
-        }
-        let popped = shard.links[link_idx as usize].inbox.pop_front();
-        let eof = shard.links[link_idx as usize].eof;
-        let core = shard.agents[a as usize].core.as_mut().expect("live core");
-        match popped {
-            Some(entry) => match entry.kind {
-                EntryKind::Data => core.on_data(
-                    slot,
-                    dpc_alg::message::RoundMsg {
-                        e: entry.e,
-                        transfer: entry.transfer,
-                    },
-                    entry.settled,
-                ),
-                EntryKind::Heartbeat => core.on_heartbeat(slot, entry.settled),
-                EntryKind::Goodbye => core.on_goodbye(
-                    slot,
-                    dpc_alg::message::RoundMsg {
-                        e: entry.e,
-                        transfer: entry.transfer,
-                    },
-                ),
-                EntryKind::Eof => unreachable!("EOF entries set link state, never enqueue"),
-            },
-            None if eof => core.on_closed(slot),
-            None => {
-                debug_assert!(force, "receive pass ran without a full round buffered");
-                core.on_timeout(slot);
-            }
-        }
-    }
-    let agent = &mut shard.agents[a as usize];
-    let core = agent.core.as_mut().expect("live core");
-    if core.end_round() {
-        let degree = core.degree();
-        for slot in 0..degree {
-            let (alive, link_idx, bye) = {
-                let agent = &shard.agents[a as usize];
-                let core = agent.core.as_ref().expect("live core");
-                (
-                    core.is_alive(slot),
-                    agent.link_of_slot[slot],
-                    core.goodbye(),
-                )
-            };
-            if !alive {
-                continue;
-            }
-            let round = shard.agents[a as usize].round_seq;
-            let (e, transfer) = match bye {
-                WireMsg::Goodbye { msg } => (msg.e, msg.transfer),
-                ref other => unreachable!("goodbye() returned {}", other.kind()),
-            };
-            let entry = BatchEntry {
-                slot: shard.links[link_idx as usize].peer_slot,
-                e,
-                transfer,
-                settled: false,
-                kind: EntryKind::Goodbye,
-            };
-            if send_entry(shard, link_idx, round, entry) {
-                shard.agents[a as usize]
-                    .core
-                    .as_mut()
-                    .expect("live core")
-                    .note_goodbye_sent();
-            }
-        }
-        let agent = &mut shard.agents[a as usize];
-        let core = agent.core.as_ref().expect("live core");
-        agent.drain_open = (0..core.degree()).map(|s| core.is_alive(s)).collect();
-        agent.phase = Phase::Draining;
-        arm_drain_timer(shard, lp, a);
-        absorb_drain(shard, lp, a);
-    } else {
-        agent.phase = Phase::NeedSend;
-    }
-    Ok(())
-}
-
-fn drain_timeout(agent: &AgentSlot) -> Duration {
-    agent.round_timeout.min(Duration::from_millis(100))
-}
-
-fn arm_drain_timer(shard: &mut Shard, lp: &mut Loop, a: u32) {
-    let agent = &mut shard.agents[a as usize];
-    agent.drain_seq = agent.drain_seq.wrapping_add(1);
-    let deadline = Instant::now() + drain_timeout(agent);
+fn arm_drain_timer(lp: &mut Loop, block: &AgentBlock, a: usize) {
+    lp.drain_seq[a] = lp.drain_seq[a].wrapping_add(1);
+    let quiet = block.spec(a).round_timeout.min(Duration::from_millis(100));
     lp.wheel.arm(
-        deadline,
+        Instant::now() + quiet,
         TimerKey {
             kind: TimerKind::Drain,
-            idx: a,
-            seq: agent.drain_seq,
+            idx: a as u32,
+            seq: lp.drain_seq[a],
         },
     );
-}
-
-/// Stages buffered lame-duck entries per slot, closing slots on `Goodbye`
-/// or link EOF; folds the report once every slot is closed.
-fn absorb_drain(shard: &mut Shard, lp: &mut Loop, a: u32) {
-    let degree = shard.agents[a as usize].drain_open.len();
-    let mut absorbed = false;
-    for slot in 0..degree {
-        if !shard.agents[a as usize].drain_open[slot] {
-            continue;
-        }
-        let link_idx = shard.agents[a as usize].link_of_slot[slot];
-        loop {
-            let popped = shard.links[link_idx as usize].inbox.pop_front();
-            let agent = &mut shard.agents[a as usize];
-            let core = agent.core.as_mut().expect("draining core");
-            match popped {
-                Some(entry) => match entry.kind {
-                    EntryKind::Data => {
-                        core.stage_drain_mass(slot, entry.transfer);
-                        absorbed = true;
-                    }
-                    EntryKind::Heartbeat => {
-                        core.stage_drain_heartbeat(slot);
-                        absorbed = true;
-                    }
-                    EntryKind::Goodbye => {
-                        core.stage_drain_mass(slot, entry.transfer);
-                        agent.drain_open[slot] = false;
-                        absorbed = true;
-                        break;
-                    }
-                    EntryKind::Eof => unreachable!("EOF entries set link state, never enqueue"),
-                },
-                None => break,
-            }
-        }
-        if shard.agents[a as usize].drain_open[slot] && shard.links[link_idx as usize].eof {
-            shard.agents[a as usize].drain_open[slot] = false;
-        }
-    }
-    if absorbed {
-        // An entry restarts the quiet period, like the blocking drain's
-        // per-recv timeout.
-        arm_drain_timer(shard, lp, a);
-    }
-    if shard.agents[a as usize].drain_open.iter().all(|&o| !o) {
-        let core = shard.agents[a as usize]
-            .core
-            .as_mut()
-            .expect("draining core");
-        core.finish_drain();
-        core.mark_converged();
-        finish_agent(shard, lp, a, true);
-    }
-}
-
-/// Folds the report and announces the agent's departure: one in-band EOF
-/// entry per link, so peers see a per-link FIN ordered after the frames
-/// already staged — the carrier itself stays open for its other agents.
-fn finish_agent(shard: &mut Shard, lp: &mut Loop, a: u32, _converged: bool) {
-    let agent = &mut shard.agents[a as usize];
-    agent.phase = Phase::Done;
-    let round = agent.round_seq;
-    let core = agent.core.take().expect("core present at finish");
-    let node = agent.node;
-    lp.reports.push((node, core.into_report()));
-    lp.done += 1;
-    for s in 0..shard.agents[a as usize].link_of_slot.len() {
-        let link_idx = shard.agents[a as usize].link_of_slot[s];
-        let entry = BatchEntry {
-            slot: shard.links[link_idx as usize].peer_slot,
-            e: 0.0,
-            transfer: 0.0,
-            settled: false,
-            kind: EntryKind::Eof,
-        };
-        send_entry(shard, link_idx, round, entry);
-    }
 }
 
 /// Seals and flushes every carrier's remaining bytes, then closes the
@@ -1048,7 +736,6 @@ fn teardown(shard: &mut Shard) {
         }
         c.closed_out = true;
         match &c.end {
-            CarrierEnd::SelfLoop => c.staging.clear(),
             CarrierEnd::Mem { tx, .. } => {
                 if !c.staging.is_empty() {
                     tx.send(&c.staging);
@@ -1080,27 +767,41 @@ fn teardown(shard: &mut Shard) {
     }
 }
 
-/// One shard-level wheel entry covers every stalled agent: per-agent
-/// entries would arm thousands of timers per sweep for no benefit, since
-/// the deadline only matters on the (rare) faulty path.
-fn arm_round_check(shard: &mut Shard, lp: &mut Loop) {
-    if lp.round_check_armed {
-        return;
+/// One shard-level wheel entry covers every agent: per-agent deadlines
+/// would arm a timer per round per agent for no benefit, since the
+/// deadline only matters on the (rare) faulty path.
+fn arm_round_check(lp: &mut Loop) {
+    lp.wheel.arm(
+        Instant::now() + lp.round_check,
+        TimerKey {
+            kind: TimerKind::Round,
+            idx: u32::MAX,
+            seq: 0,
+        },
+    );
+}
+
+/// The round deadline: an agent caught waiting in the same round by two
+/// consecutive checks has waited at least one full period, so its receive
+/// pass runs with what it has — each missing link counts a silent round.
+fn check_rounds(shard: &mut Shard, lp: &mut Loop) {
+    let (block, mut wire) = split(shard);
+    for a in 0..block.len() {
+        if block.phase(a) != Phase::AwaitFrames {
+            lp.stalled_at[a] = u32::MAX;
+            continue;
+        }
+        let round = block.rounds(a) as u32;
+        if lp.stalled_at[a] == round {
+            lp.stalled_at[a] = u32::MAX;
+            block.receive_round(a, &mut wire);
+            block.wake(a);
+        } else {
+            lp.stalled_at[a] = round;
+        }
     }
-    if shard
-        .agents
-        .iter()
-        .any(|ag| ag.phase == Phase::AwaitFrames && ag.stall_since.is_some())
-    {
-        lp.round_check_armed = true;
-        lp.wheel.arm(
-            Instant::now() + lp.min_round_timeout,
-            TimerKey {
-                kind: TimerKind::Round,
-                idx: u32::MAX,
-                seq: 0,
-            },
-        );
+    if block.done() < block.len() {
+        arm_round_check(lp);
     }
 }
 
@@ -1108,10 +809,9 @@ fn fire_timers(shard: &mut Shard, lp: &mut Loop) -> Result<(), RuntimeError> {
     if lp.wheel.armed() == 0 {
         return Ok(());
     }
-    let now = Instant::now();
-    let mut expired = Vec::new();
-    lp.wheel.expired(now, &mut expired);
-    for key in expired {
+    let mut expired = std::mem::take(&mut lp.expired);
+    lp.wheel.expired(Instant::now(), &mut expired);
+    for key in expired.drain(..) {
         match key.kind {
             TimerKind::Handshake => {
                 let c = &shard.carriers[key.idx as usize];
@@ -1123,39 +823,17 @@ fn fire_timers(shard: &mut Shard, lp: &mut Loop) -> Result<(), RuntimeError> {
                     ));
                 }
             }
-            TimerKind::Round => {
-                lp.round_check_armed = false;
-                for a in 0..shard.agents.len() as u32 {
-                    let agent = &shard.agents[a as usize];
-                    if agent.phase != Phase::AwaitFrames {
-                        continue;
-                    }
-                    let Some(since) = agent.stall_since else {
-                        continue;
-                    };
-                    if now.saturating_duration_since(since) >= agent.round_timeout {
-                        shard.agents[a as usize].stall_since = None;
-                        receive_round(shard, lp, a, true)?;
-                        mark_dirty(lp, a);
-                    }
-                }
-                pump(shard, lp)?;
-                arm_round_check(shard, lp);
-            }
+            TimerKind::Round => check_rounds(shard, lp),
             TimerKind::Drain => {
-                let agent = &mut shard.agents[key.idx as usize];
-                if agent.phase == Phase::Draining && agent.drain_seq == key.seq {
-                    // Quiet period elapsed: close every slot still open.
-                    for open in agent.drain_open.iter_mut() {
-                        *open = false;
-                    }
-                    let core = agent.core.as_mut().expect("draining core");
-                    core.finish_drain();
-                    core.mark_converged();
-                    finish_agent(shard, lp, key.idx, true);
+                let a = key.idx as usize;
+                if shard.block.phase(a) == Phase::Draining && lp.drain_seq[a] == key.seq {
+                    // Quiet period elapsed: close every link still open.
+                    let (block, mut wire) = split(shard);
+                    block.finish_drain(a, &mut wire);
                 }
             }
         }
     }
+    lp.expired = expired;
     pump(shard, lp)
 }

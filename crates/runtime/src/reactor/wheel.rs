@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 pub struct TimerKey {
     /// Which deadline family fired.
     pub kind: TimerKind,
-    /// Shard-local index of the owner (link index or agent index).
+    /// Shard-local index of the owner (carrier or agent index).
     pub idx: u32,
     /// Lazy-cancellation sequence number.
     pub seq: u32,
@@ -27,9 +27,10 @@ pub struct TimerKey {
 /// The deadline families a shard arms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimerKind {
-    /// A link's handshake must complete by the deadline (`idx` = link).
+    /// A carrier's handshake must complete by the deadline (`idx` =
+    /// carrier).
     Handshake,
-    /// An agent stalled waiting for round frames (`idx` = agent).
+    /// The shard's periodic round-deadline check (`idx` unused).
     Round,
     /// A draining agent's quiet period elapsed (`idx` = agent).
     Drain,

@@ -749,8 +749,7 @@ impl BatchWriter {
 
     /// Appends `entry` under `round`, opening/sealing frames as needed.
     /// With `coalesce` false every entry is sealed into its own
-    /// single-entry frame — the per-message framing mode the bench gate
-    /// compares against.
+    /// single-entry frame; the reactor always coalesces.
     pub fn push(&mut self, buf: &mut Vec<u8>, round: u32, entry: BatchEntry, coalesce: bool) {
         if self.open_at.is_some() && (self.round != round || self.count == MAX_BATCH_ENTRIES) {
             self.seal(buf);

@@ -15,8 +15,12 @@ use dpc_alg::problem::PowerBudgetProblem;
 use dpc_models::units::Watts;
 use dpc_models::workload::ClusterBuilder;
 use dpc_runtime::cluster::{run_cluster, ClusterOutcome, RuntimeConfig, ShardCount, TransportKind};
+use dpc_runtime::NodeReport;
 use dpc_topology::Graph;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::time::Duration;
 
 /// Worst per-node disagreement tolerated between the runtime and the
 /// simulator (watts). Same order as the thread-prototype bound in
@@ -207,7 +211,9 @@ fn lockstep_and_reactor_match_inproc_bitwise() {
     assert_eq!(inproc.msgs_sent, lockstep.msgs_sent);
     assert_eq!(inproc.msgs_sent, reactor.msgs_sent);
 
-    let threads = reactor.peak_threads.expect("reactor reports peak threads");
+    let threads = reactor
+        .runtime_threads
+        .expect("reactor reports its thread count");
     assert!(
         threads < n as u32,
         "reactor used {threads} threads for {n} agents — thread-per-node leak"
@@ -278,42 +284,6 @@ fn coalesced_reactor_matches_lockstep_at_n256() {
     assert_eq!(lockstep.heartbeats, reactor.heartbeats);
 }
 
-/// The bench framing gate's comparison arm: with `coalesce` off every
-/// entry is sealed into its own single-entry frame. Framing is a wire
-/// packaging choice, so it must be invisible to the trajectory.
-#[test]
-fn per_message_framing_matches_coalesced_bitwise() {
-    let n = 8;
-    let problem = seeded_problem(n, 42, 170.0 * n as f64);
-    let graph = Graph::ring(n);
-
-    let coalesced = run_cluster(
-        problem.clone(),
-        graph.clone(),
-        DibaConfig::default(),
-        &reactor_config(3),
-    )
-    .unwrap();
-    let per_message = run_cluster(
-        problem.clone(),
-        graph.clone(),
-        DibaConfig::default(),
-        &RuntimeConfig {
-            coalesce: false,
-            ..reactor_config(3)
-        },
-    )
-    .unwrap();
-    check_outcome(&per_message, &problem, 1e-6);
-    assert_eq!(
-        allocation_of(&coalesced),
-        allocation_of(&per_message),
-        "frame packaging changed the trajectory"
-    );
-    assert_eq!(coalesced.rounds, per_message.rounds);
-    assert_eq!(coalesced.msgs_sent, per_message.msgs_sent);
-}
-
 /// `--shards auto` is a performance policy, not a semantic one: whatever
 /// shard count it picks must produce the same allocation as any pinned
 /// count (the shard-invariance test above covers the pinned side).
@@ -381,11 +351,169 @@ fn reactor_hosts_ten_thousand_agents_bitwise_equal_to_lockstep() {
         allocation_of(&reactor),
         "10k-agent reactor diverged from the lockstep reference"
     );
-    let threads = reactor.peak_threads.expect("reactor reports peak threads");
+    let threads = reactor
+        .runtime_threads
+        .expect("reactor reports its thread count");
     assert!(
         threads < 64,
         "10k agents took {threads} threads — not a readiness runtime"
     );
+}
+
+/// A 1 µs round deadline makes the reactor's round check force the receive
+/// pass of every agent it finds waiting on another shard for a whole
+/// check period, so late entries are consumed rounds behind and links back
+/// up past the inline mailbox into the spill store (thousands of forced
+/// passes and hundreds of spilled links per run at this size in a debug
+/// build); silent peers get pruned. However degraded the schedule, the run
+/// must end with every agent reporting — no panic, no hang.
+#[test]
+fn reactor_survives_a_microsecond_round_deadline() {
+    let n = 1024;
+    let problem = seeded_problem(n, 17, 170.0 * n as f64);
+    let graph = Graph::torus(128, 8).unwrap();
+    for shards in [1, 2] {
+        let outcome = run_cluster(
+            problem.clone(),
+            graph.clone(),
+            DibaConfig::default(),
+            &RuntimeConfig {
+                round_timeout: Duration::from_micros(1),
+                max_rounds: 200,
+                ..reactor_config(shards)
+            },
+        )
+        .unwrap();
+        assert_eq!(outcome.reports.len(), n, "shards={shards}");
+        for (i, r) in outcome.reports.iter().enumerate() {
+            assert_eq!(r.node, i);
+            assert!(r.rounds <= 200, "node {i} ran {} rounds", r.rounds);
+            assert!(r.p.is_finite() && r.e.is_finite(), "node {i}: {r:?}");
+        }
+    }
+}
+
+/// One of the scale-out graph families at `n ≤ 64`, picked by `family`.
+fn family_graph(family: usize, size: usize, seed: u64) -> (&'static str, Graph) {
+    match family {
+        0 => ("ring", Graph::ring(6 + size % 59)),
+        1 => (
+            "torus",
+            Graph::torus(3 + size % 6, 3 + size / 6 % 6).unwrap(),
+        ),
+        2 => ("hypercube", Graph::hypercube(2 + (size % 5) as u32)),
+        _ => {
+            let n = 2 * (4 + size % 29);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let graph = Graph::random_regular(n, 3 + size % 2, &mut rng, 200)
+                .expect("random regular graph");
+            ("random-regular", graph)
+        }
+    }
+}
+
+/// The report fields lockstep defines deterministically, with `p`/`e`
+/// compared bit for bit.
+fn deterministic_fields(r: &NodeReport) -> impl PartialEq + std::fmt::Debug + '_ {
+    (
+        r.node,
+        r.p.to_bits(),
+        r.e.to_bits(),
+        r.rounds,
+        r.converged,
+        r.msgs_sent,
+        r.msgs_received,
+        r.heartbeats_sent,
+        &r.pruned,
+        &r.trace,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Reactor ≡ lockstep on every deterministic report field — not just
+    /// the allocation — across the graph families and shard counts that
+    /// split them every which way, run to quorum. Pins the goodbye, drain
+    /// and end-of-stream bookkeeping along with the arithmetic.
+    #[test]
+    fn reactor_reports_equal_lockstep_on_every_family_and_shard_count(
+        family in 0usize..4,
+        size in 0usize..1_000,
+        shard_pick in 0usize..4,
+        seed in 0u64..1_000,
+    ) {
+        let (name, graph) = family_graph(family, size, seed);
+        let n = graph.len();
+        let shards = [1, 2, 3, 5][shard_pick];
+        let problem = seeded_problem(n, seed, 168.0 * n as f64);
+        let rt = |transport| RuntimeConfig {
+            transport,
+            sample_every: 7,
+            ..reactor_config(shards)
+        };
+        let lockstep = run_cluster(
+            problem.clone(),
+            graph.clone(),
+            DibaConfig::default(),
+            &rt(TransportKind::Lockstep),
+        )
+        .unwrap();
+        let reactor = run_cluster(problem, graph, DibaConfig::default(), &rt(TransportKind::Reactor))
+            .unwrap();
+        prop_assert!(lockstep.converged, "{} n={} seed={} never reached quorum", name, n, seed);
+        for (a, b) in lockstep.reports.iter().zip(&reactor.reports) {
+            prop_assert_eq!(
+                deterministic_fields(a),
+                deterministic_fields(b),
+                "{} n={} shards={} seed={}",
+                name,
+                n,
+                shards,
+                seed
+            );
+        }
+    }
+}
+
+/// Reactor ≡ lockstep on every deterministic report field when the round
+/// cap cuts through the goodbye wave: an agent reaches quorum in its last
+/// round while neighbors end at the cap in that same round, in whatever
+/// order the reactor happens to step them.
+#[test]
+fn capped_reactor_reports_equal_lockstep_through_the_goodbye_wave() {
+    let graph = Graph::torus(8, 8).unwrap();
+    let n = graph.len();
+    let problem = seeded_problem(n, 11, 168.0 * n as f64);
+    let run = |transport, shards, max_rounds| {
+        let rt = RuntimeConfig {
+            transport,
+            max_rounds,
+            ..reactor_config(shards)
+        };
+        run_cluster(problem.clone(), graph.clone(), DibaConfig::default(), &rt).unwrap()
+    };
+    let uncapped = RuntimeConfig::default().max_rounds;
+    let full = run(TransportKind::Lockstep, 1, uncapped);
+    assert!(full.converged, "the uncapped run reaches quorum");
+    // Caps at the rounds agents say goodbye in, spread over the wave.
+    let mut caps: Vec<usize> = full.reports.iter().map(|r| r.rounds).collect();
+    caps.sort_unstable();
+    caps.dedup();
+    assert!(caps.len() > 1, "the goodbye wave spans rounds");
+    for &cap in caps.iter().step_by(caps.len().div_ceil(12)) {
+        let lockstep = run(TransportKind::Lockstep, 1, cap);
+        for shards in [1, 2] {
+            let reactor = run(TransportKind::Reactor, shards, cap);
+            for (a, b) in lockstep.reports.iter().zip(&reactor.reports) {
+                assert_eq!(
+                    deterministic_fields(a),
+                    deterministic_fields(b),
+                    "cap {cap}, {shards} shards"
+                );
+            }
+        }
+    }
 }
 
 proptest! {

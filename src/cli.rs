@@ -172,9 +172,6 @@ COMMANDS:
              reactor scale rows and the topology convergence table) instead
              over --sizes N,N,... (8,64); FILE defaults to BENCH_runtime.json
              --scale on|off (on; off skips the 1k/10k rows and the table)
-             --min-msgs-speedup X (with --bench: also time batched vs
-             per-message framing at N=1024 and fail below X; skipped with a
-             note on single-core hosts)
   node       run ONE DiBA agent over TCP (one process per server)
              --id I (required)  --servers N (4)  --listen IP:PORT (127.0.0.1:0)
              --peers j=ip:port,... (dial addresses of the HIGHER-id neighbors;
@@ -1139,38 +1136,9 @@ pub fn cmd_cluster(opts: &Options) -> Result<String, CliError> {
                 report.to_table()
             )));
         }
-        // Optional framing gate: batched DataBatch frames must beat
-        // one-frame-per-message by the given factor. Timing two
-        // multi-shard reactors on a single core measures scheduler
-        // contention, not framing, so the gate skips there with a note.
-        let mut framing_note = String::new();
-        if let Some(spec) = opts.string("min-msgs-speedup") {
-            let min: f64 = spec
-                .parse()
-                .map_err(|e| CliError(format!("bad --min-msgs-speedup `{spec}`: {e}")))?;
-            let cores = std::thread::available_parallelism()
-                .map(|c| c.get())
-                .unwrap_or(1);
-            if cores < 2 {
-                framing_note = format!(
-                    "framing gate skipped: host reports {cores} core(s); batched-vs-per-message \
-                     timing on one core measures contention, not framing\n"
-                );
-            } else {
-                let cmp = dpc_bench::runtimebench::measure_framing_compare(seed);
-                framing_note = format!("{}\n", cmp.to_line());
-                if cmp.speedup() < min {
-                    return Err(CliError(format!(
-                        "framing speedup {:.2}x is below the --min-msgs-speedup gate {min}x\n{}",
-                        cmp.speedup(),
-                        cmp.to_line(),
-                    )));
-                }
-            }
-        }
         write_output(bench_path, &report.to_json())?;
         return Ok(format!(
-            "{}\n{framing_note}report written to {bench_path}\n",
+            "{}\nreport written to {bench_path}\n",
             report.to_table()
         ));
     }
@@ -1261,14 +1229,17 @@ pub fn cmd_cluster(opts: &Options) -> Result<String, CliError> {
             "VIOLATED"
         },
     ));
-    if let Some(threads) = outcome.peak_threads {
-        out.push_str(&format!("runtime: peak {threads} threads\n"));
+    if let Some(threads) = outcome.runtime_threads {
+        out.push_str(&format!(
+            "runtime: {threads} threads (shards + coordinator)\n"
+        ));
     }
-    // Wall-clock-adjacent and host-dependent, so it lives on its own line
-    // (containing "rss") that reproducibility comparisons strip — same
-    // convention as the bench reports' `per_sec`/`secs` lines.
+    // A process-wide probe and host-dependent, so it is labelled as the
+    // process's and lives on its own line (containing "rss") that
+    // reproducibility comparisons strip — same convention as the bench
+    // reports' `per_sec`/`secs` lines.
     if let Some(kb) = outcome.peak_rss_kb {
-        out.push_str(&format!("runtime: peak rss {:.1} MB\n", kb as f64 / 1024.0));
+        out.push_str(&format!("process: peak rss {:.1} MB\n", kb as f64 / 1024.0));
     }
     Ok(out)
 }
