@@ -47,13 +47,19 @@ use std::marker::PhantomData;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 
-/// The host's available parallelism (1 when it cannot be determined).
+/// The host's available parallelism (1 when it cannot be determined),
+/// probed once per process: `std::thread::available_parallelism` reads
+/// cgroup files on Linux (tens of microseconds), and round engines ask on
+/// every dispatch.
 pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Cluster size below which [`Threads::Auto`] runs serial. Measured on the
@@ -161,13 +167,7 @@ impl ParallelEngine {
     /// Resolves the worker count: `None` takes the machine's available
     /// parallelism, `Some(w)` forces `w` (clamped to at least 1).
     pub fn new(threads: Option<usize>) -> ParallelEngine {
-        let workers = threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
-            .max(1);
+        let workers = threads.unwrap_or_else(host_parallelism).max(1);
         ParallelEngine { workers }
     }
 

@@ -374,9 +374,7 @@ pub fn run(sizes: &[usize], seed: u64) -> DynamicBenchReport {
     }
     DynamicBenchReport {
         seed,
-        host_parallelism: std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1),
+        host_parallelism: dpc_alg::exec::host_parallelism(),
         cells,
     }
 }

@@ -1,12 +1,15 @@
-//! The protocol brain of DiBA agents, stored as one columnar block so
+//! The protocol brain of DiBA agents, stored as one block of records so
 //! every substrate executes the *same* arithmetic in the same order.
 //!
-//! An [`AgentBlock`] holds a set of agents as rows of flat columns: the
-//! agent columns (`p`, `e`, boost, settled streak, round counter, phase,
-//! message counters) and, in CSR order behind each agent, the link columns
-//! (last heard residual, last sent residual, liveness, peer-settled,
-//! silence count, end-of-stream) plus one [`Mailboxes`] slot per link.
-//! No agent owns a heap buffer; one kernel scratch serves the whole block.
+//! An [`AgentBlock`] holds a set of agents as two flat arrays of small
+//! records: one agent record (`p`, `e`, boost, settled streak, round
+//! counter, phase, message counters, readiness count) per agent and, in
+//! CSR order behind each agent, one link record (last heard residual, last
+//! sent residual, liveness, peer-settled, silence count, end-of-stream,
+//! and the link's mailbox) per link. A step reads and writes nearly every
+//! field of its agent's records, so each lives in one or two cache lines
+//! rather than spread over a column per field. No agent owns a heap
+//! buffer; one kernel scratch serves the whole block.
 //!
 //! Three substrates drive a block:
 //!
@@ -34,8 +37,17 @@
 //! **Readiness is counted, not scanned.** When an agent sends its round,
 //! `missing` records how many live links still lack an entry (or an
 //! end-of-stream). Each delivery into an empty mailbox, and each
-//! end-of-stream on one, decrements it; the agent joins the ready queue
+//! end-of-stream on one, decrements it; the agent joins the ready set
 //! the moment it reaches zero.
+//!
+//! **Boundary first, interior in id order.** The ready set has two
+//! classes. *Boundary* agents (at least one remote link) step first, in
+//! the order they became ready, so entries for other blocks are staged
+//! as early as possible. *Interior* agents (every link local) are marked
+//! in a bitmap and stepped in an ascending id sweep from a wrapping
+//! cursor, so a large block walks its records in memory order, as the
+//! lockstep schedule does, instead of in wavefront order. One `queued`
+//! bit per agent, shared by both classes, holds each agent at most once.
 //!
 //! **The mailbox bound.** A peer can only send round `r + 1` after it has
 //! consumed our round-`r` entry, and it consumes that only after we sent
@@ -79,79 +91,93 @@ impl Mail {
 /// module docs). Anything beyond spills to the block's overflow store.
 pub const MAILBOX_INLINE: usize = 2;
 
-/// Per-link FIFO mailboxes: the oldest [`MAILBOX_INLINE`] entries of each
-/// link sit in a flat inline column; further entries of a backed-up link
-/// live in one shared overflow map, touched only on the round-timeout path.
-#[derive(Debug, Default)]
-pub struct Mailboxes {
-    inline: Vec<[Mail; MAILBOX_INLINE]>,
-    /// Entries held per link, inline and spilled together.
-    len: Vec<u32>,
-    spill: HashMap<u32, VecDeque<Mail>>,
+/// Entries of backed-up links past their inline capacity, by link; touched
+/// only on the round-timeout path.
+type Spill = HashMap<u32, VecDeque<Mail>>;
+
+/// One link's FIFO mailbox: its oldest [`MAILBOX_INLINE`] entries inline,
+/// the rest in the block's [`Spill`] under the link's index `l`.
+#[derive(Debug, Clone, Copy)]
+struct Inbox {
+    slots: [Mail; MAILBOX_INLINE],
+    /// Entries held, inline and spilled together.
+    held: u32,
 }
 
-impl Mailboxes {
-    /// Empty mailboxes for `links` links.
-    pub fn new(links: usize) -> Mailboxes {
-        Mailboxes {
-            inline: vec![[Mail::EMPTY; MAILBOX_INLINE]; links],
-            len: vec![0; links],
-            spill: HashMap::new(),
-        }
-    }
+impl Inbox {
+    const EMPTY: Inbox = Inbox {
+        slots: [Mail::EMPTY; MAILBOX_INLINE],
+        held: 0,
+    };
 
-    /// Whether link `l` holds nothing.
-    pub fn is_empty(&self, l: usize) -> bool {
-        self.len[l] == 0
+    /// Whether the mailbox holds nothing.
+    fn is_empty(&self) -> bool {
+        self.held == 0
     }
 
     /// Appends `mail` to link `l`'s queue.
-    pub fn push(&mut self, l: usize, mail: Mail) {
-        let n = self.len[l] as usize;
+    #[inline]
+    fn push(&mut self, spill: &mut Spill, l: usize, mail: Mail) {
+        let n = self.held as usize;
         if n < MAILBOX_INLINE {
-            self.inline[l][n] = mail;
+            self.slots[n] = mail;
         } else {
-            self.spill.entry(l as u32).or_default().push_back(mail);
+            spill_push(spill, l, mail);
         }
-        self.len[l] += 1;
+        self.held += 1;
     }
 
     /// Takes the oldest entry of link `l`.
-    pub fn pop(&mut self, l: usize) -> Option<Mail> {
-        let n = self.len[l] as usize;
+    #[inline]
+    fn pop(&mut self, spill: &mut Spill, l: usize) -> Option<Mail> {
+        let n = self.held as usize;
         if n == 0 {
             return None;
         }
-        let slots = &mut self.inline[l];
-        let head = slots[0];
-        slots.copy_within(1.., 0);
-        if n > MAILBOX_INLINE {
-            let queue = self.spill.get_mut(&(l as u32)).expect("spilled entries");
-            slots[MAILBOX_INLINE - 1] = queue.pop_front().expect("spilled entry");
-            if queue.is_empty() {
-                self.spill.remove(&(l as u32));
-            }
+        let head = self.slots[0];
+        for k in 1..MAILBOX_INLINE {
+            self.slots[k - 1] = self.slots[k];
         }
-        self.len[l] -= 1;
+        if n > MAILBOX_INLINE {
+            self.slots[MAILBOX_INLINE - 1] = spill_pop(spill, l);
+        }
+        self.held -= 1;
         Some(head)
     }
 
     /// The newest entry of link `l`.
-    pub fn back(&self, l: usize) -> Option<&Mail> {
-        match self.len[l] as usize {
+    fn back<'a>(&'a self, spill: &'a Spill, l: usize) -> Option<&'a Mail> {
+        match self.held as usize {
             0 => None,
-            n if n <= MAILBOX_INLINE => Some(&self.inline[l][n - 1]),
-            _ => self.spill.get(&(l as u32)).and_then(|q| q.back()),
+            n if n <= MAILBOX_INLINE => Some(&self.slots[n - 1]),
+            _ => spill.get(&(l as u32)).and_then(|q| q.back()),
         }
     }
 
     /// Drops everything link `l` holds.
-    pub fn clear(&mut self, l: usize) {
-        if self.len[l] as usize > MAILBOX_INLINE {
-            self.spill.remove(&(l as u32));
+    fn clear(&mut self, spill: &mut Spill, l: usize) {
+        if self.held as usize > MAILBOX_INLINE {
+            spill.remove(&(l as u32));
         }
-        self.len[l] = 0;
+        self.held = 0;
     }
+}
+
+/// Queues `mail` behind link `l`'s full inline slots.
+#[cold]
+fn spill_push(spill: &mut Spill, l: usize, mail: Mail) {
+    spill.entry(l as u32).or_default().push_back(mail);
+}
+
+/// Takes link `l`'s oldest spilled entry, releasing an emptied queue.
+#[cold]
+fn spill_pop(spill: &mut Spill, l: usize) -> Mail {
+    let queue = spill.get_mut(&(l as u32)).expect("spilled entries");
+    let mail = queue.pop_front().expect("spilled entry");
+    if queue.is_empty() {
+        spill.remove(&(l as u32));
+    }
+    mail
 }
 
 /// Where an agent is in its lifecycle.
@@ -197,45 +223,59 @@ impl Outlet for NoRemote {
 /// `reverse` marker of a link whose peer lives outside the block.
 const REMOTE: u32 = u32::MAX;
 
-/// A set of agents with consecutive node ids, stored column by column.
-pub struct AgentBlock {
-    // Agent columns.
-    specs: Vec<NodeSpec>,
-    p: Vec<f64>,
-    e: Vec<f64>,
-    boost: Vec<f64>,
-    streak: Vec<u32>,
-    rounds: Vec<u32>,
-    settled: Vec<bool>,
-    converged: Vec<bool>,
-    phase: Vec<Phase>,
-    msgs_sent: Vec<u64>,
-    msgs_received: Vec<u64>,
-    heartbeats_sent: Vec<u64>,
+/// One agent's round state.
+#[derive(Debug, Clone, Copy)]
+struct Agent {
+    p: f64,
+    e: f64,
+    boost: f64,
+    msgs_sent: u64,
+    msgs_received: u64,
+    heartbeats_sent: u64,
+    streak: u32,
+    rounds: u32,
     /// Live links still lacking an entry or end of stream this round.
-    missing: Vec<u32>,
-    /// CSR offsets: agent `a`'s links are `first_link[a]..first_link[a+1]`.
-    first_link: Vec<u32>,
+    missing: u32,
+    settled: bool,
+    converged: bool,
+    phase: Phase,
+}
 
-    // Link columns.
-    owner: Vec<u32>,
-    /// Neighbor node id behind the link.
-    peer: Vec<u32>,
-    /// The peer's link back to us when the peer is in this block, else
-    /// [`REMOTE`].
-    reverse: Vec<u32>,
-    heard_e: Vec<f64>,
+/// One link's state.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// The peer's last residual.
+    heard_e: f64,
     /// Last residual handed over in a `Data` entry (NaN until the first
     /// send, so the first round always sends `Data`).
-    sent_e: Vec<f64>,
-    alive: Vec<bool>,
+    sent_e: f64,
+    inbox: Inbox,
+    /// The agent the link belongs to.
+    owner: u32,
+    /// The peer's link back to us when the peer is in this block, else
+    /// [`REMOTE`].
+    reverse: u32,
+    /// Consecutive rounds the peer has been silent.
+    silent: u32,
+    alive: bool,
     /// The peer said goodbye (as opposed to being pruned or lost).
-    graceful: Vec<bool>,
-    peer_settled: Vec<bool>,
+    graceful: bool,
+    peer_settled: bool,
     /// The peer will never write this link again.
-    eof: Vec<bool>,
-    silent: Vec<u32>,
-    mail: Mailboxes,
+    eof: bool,
+}
+
+/// A set of agents with consecutive node ids: one [`Agent`] record per
+/// agent and, in CSR order, one [`Link`] record per link.
+pub struct AgentBlock {
+    specs: Vec<NodeSpec>,
+    agent: Vec<Agent>,
+    /// CSR offsets: agent `a`'s links are `first_link[a]..first_link[a+1]`.
+    first_link: Vec<u32>,
+    link: Vec<Link>,
+    /// Neighbor node id behind each link.
+    peer: Vec<u32>,
+    spill: Spill,
 
     // Rare per-agent output, appended in event order.
     pruned: Vec<(u32, u32)>,
@@ -246,8 +286,16 @@ pub struct AgentBlock {
     /// arena keeps resident after the run.
     trace: Vec<Vec<NodeSample>>,
 
-    /// Agents to step, oldest first.
-    ready: VecDeque<u32>,
+    /// Bit per agent: every link is local.
+    interior: Vec<u64>,
+    /// Bit per agent: held in the ready set (either class).
+    queued: Vec<u64>,
+    /// Ready boundary agents, oldest first.
+    boundary_ready: VecDeque<u32>,
+    /// Ready interior agents (their `queued & interior` bits).
+    interior_ready: usize,
+    /// Where the interior sweep resumes.
+    cursor: usize,
     done: usize,
     neigh_e: Vec<f64>,
     scratch: NodeScratch,
@@ -280,52 +328,72 @@ impl AgentBlock {
             first_link.push(peer.len() as u32);
         }
         assert_eq!(first_link.len(), n + 1, "one neighbor row per spec");
-        let links = peer.len();
         let local = |node: usize| node.checked_sub(base).filter(|&b| b < n);
-        let reverse: Vec<u32> = (0..links)
-            .map(|l| match local(peer[l] as usize) {
-                Some(b) => {
-                    let row = &peer[first_link[b] as usize..first_link[b + 1] as usize];
-                    let me = (base + owner[l] as usize) as u32;
-                    let pos = row.binary_search(&me).expect("graph edges are symmetric");
-                    first_link[b] + pos as u32
+        let link: Vec<Link> = (0..peer.len())
+            .map(|l| {
+                let reverse = match local(peer[l] as usize) {
+                    Some(b) => {
+                        let row = &peer[first_link[b] as usize..first_link[b + 1] as usize];
+                        let me = (base + owner[l] as usize) as u32;
+                        let pos = row.binary_search(&me).expect("graph edges are symmetric");
+                        first_link[b] + pos as u32
+                    }
+                    None => REMOTE,
+                };
+                Link {
+                    heard_e: specs[owner[l] as usize].e,
+                    sent_e: f64::NAN,
+                    inbox: Inbox::EMPTY,
+                    owner: owner[l],
+                    reverse,
+                    silent: 0,
+                    alive: true,
+                    graceful: false,
+                    peer_settled: false,
+                    eof: false,
                 }
-                None => REMOTE,
             })
             .collect();
-        let heard_e = (0..links).map(|l| specs[owner[l] as usize].e).collect();
         let max_degree = (0..n)
             .map(|a| (first_link[a + 1] - first_link[a]) as usize)
             .max()
             .unwrap_or(0);
+        let mut interior = vec![0u64; n.div_ceil(64)];
+        for a in 0..n {
+            let links = first_link[a] as usize..first_link[a + 1] as usize;
+            if link[links].iter().all(|l| l.reverse != REMOTE) {
+                interior[a / 64] |= 1 << (a % 64);
+            }
+        }
         AgentBlock {
-            p: specs.iter().map(|s| s.p).collect(),
-            e: specs.iter().map(|s| s.e).collect(),
-            boost: specs.iter().map(|s| s.eta_boost.max(1.0)).collect(),
-            streak: vec![0; n],
-            rounds: vec![0; n],
-            settled: vec![false; n],
-            converged: vec![false; n],
-            phase: vec![Phase::NeedSend; n],
-            msgs_sent: vec![0; n],
-            msgs_received: vec![0; n],
-            heartbeats_sent: vec![0; n],
-            missing: vec![0; n],
+            agent: specs
+                .iter()
+                .map(|s| Agent {
+                    p: s.p,
+                    e: s.e,
+                    boost: s.eta_boost.max(1.0),
+                    msgs_sent: 0,
+                    msgs_received: 0,
+                    heartbeats_sent: 0,
+                    streak: 0,
+                    rounds: 0,
+                    missing: 0,
+                    settled: false,
+                    converged: false,
+                    phase: Phase::NeedSend,
+                })
+                .collect(),
             first_link,
-            owner,
+            link,
             peer,
-            reverse,
-            heard_e,
-            sent_e: vec![f64::NAN; links],
-            alive: vec![true; links],
-            graceful: vec![false; links],
-            peer_settled: vec![false; links],
-            eof: vec![false; links],
-            silent: vec![0; links],
-            mail: Mailboxes::new(links),
+            spill: Spill::new(),
             pruned: Vec::new(),
             trace: vec![Vec::new(); n],
-            ready: VecDeque::new(),
+            queued: vec![0; interior.len()],
+            interior,
+            boundary_ready: VecDeque::new(),
+            interior_ready: 0,
+            cursor: 0,
             done: 0,
             neigh_e: Vec::with_capacity(max_degree),
             scratch: NodeScratch::with_capacity(max_degree),
@@ -340,7 +408,7 @@ impl AgentBlock {
 
     /// Total links of the block's agents.
     pub fn link_count(&self) -> usize {
-        self.peer.len()
+        self.link.len()
     }
 
     /// Agent `a`'s links, in slot order.
@@ -355,27 +423,27 @@ impl AgentBlock {
 
     /// Agent `a`'s lifecycle phase.
     pub fn phase(&self, a: usize) -> Phase {
-        self.phase[a]
+        self.agent[a].phase
     }
 
     /// Rounds agent `a` has started.
     pub fn rounds(&self, a: usize) -> usize {
-        self.rounds[a] as usize
+        self.agent[a].rounds as usize
     }
 
     /// `true` while agent `a`'s round budget allows another round.
     pub fn rounds_remaining(&self, a: usize) -> bool {
-        (self.rounds[a] as usize) < self.specs[a].max_rounds
+        (self.agent[a].rounds as usize) < self.specs[a].max_rounds
     }
 
     /// Whether link `l` is still alive (while draining: still open).
     pub fn is_alive(&self, l: usize) -> bool {
-        self.alive[l]
+        self.link[l].alive
     }
 
     /// Whether every live link of agent `a` holds its round input.
     pub fn is_ready(&self, a: usize) -> bool {
-        self.missing[a] == 0
+        self.agent[a].missing == 0
     }
 
     /// Agents that have finished.
@@ -384,66 +452,116 @@ impl AgentBlock {
     }
 
     /// Next agent whose inputs became complete (or, while draining, whose
-    /// links changed), in the order they became so. An agent may be queued
-    /// more than once; stepping it again is harmless.
+    /// links changed): boundary agents first, in the order they became
+    /// ready, then interior agents in ascending id order from where the
+    /// last sweep stopped, wrapping around.
     pub fn pop_ready(&mut self) -> Option<usize> {
-        self.ready.pop_front().map(|a| a as usize)
+        let a = match self.boundary_ready.pop_front() {
+            Some(a) => a as usize,
+            None if self.interior_ready > 0 => self.next_interior(),
+            None => return None,
+        };
+        self.queued[a / 64] &= !(1 << (a % 64));
+        Some(a)
     }
 
-    /// Queues agent `a` for stepping.
+    /// The first ready interior agent at or after the cursor, wrapping
+    /// around; at least one must be ready.
+    fn next_interior(&mut self) -> usize {
+        let words = self.queued.len();
+        let start = if self.cursor < self.len() {
+            self.cursor
+        } else {
+            0
+        };
+        let mut w = start / 64;
+        // The cursor's own word is first searched from the cursor up; a
+        // wrapped sweep comes back to it with every bit.
+        let mut bits = self.queued[w] & self.interior[w] & (!0 << (start % 64));
+        while bits == 0 {
+            w = if w + 1 == words { 0 } else { w + 1 };
+            bits = self.queued[w] & self.interior[w];
+        }
+        let a = w * 64 + bits.trailing_zeros() as usize;
+        self.interior_ready -= 1;
+        self.cursor = a + 1;
+        a
+    }
+
+    /// Queues agent `a` for stepping; an agent already queued stays where
+    /// it is.
+    #[inline]
     pub fn wake(&mut self, a: usize) {
-        self.ready.push_back(a as u32);
+        let (w, bit) = (a / 64, 1u64 << (a % 64));
+        if self.queued[w] & bit != 0 {
+            return;
+        }
+        self.queued[w] |= bit;
+        if self.interior[w] & bit != 0 {
+            self.interior_ready += 1;
+        } else {
+            self.boundary_ready.push_back(a as u32);
+        }
     }
 
     /// Queues every agent (bring-up).
     pub fn wake_all(&mut self) {
-        self.ready.extend(0..self.len() as u32);
+        for a in 0..self.len() {
+            self.wake(a);
+        }
     }
 
     /// Forgets queued wakeups (substrates that step on a fixed schedule).
     pub fn clear_ready(&mut self) {
-        self.ready.clear();
+        self.boundary_ready.clear();
+        self.queued.fill(0);
+        self.interior_ready = 0;
     }
 
     /// An entry arrived on link `l`. Dropped when the link is dead or its
     /// agent finished: neither is ever read again.
+    #[inline]
     pub fn deliver(&mut self, l: usize, mail: Mail) {
-        let a = self.owner[l] as usize;
-        if !self.alive[l] || self.phase[a] == Phase::Done {
+        let link = &mut self.link[l];
+        let a = link.owner as usize;
+        if !link.alive || self.agent[a].phase == Phase::Done {
             return;
         }
-        let was_empty = self.mail.is_empty(l);
-        self.mail.push(l, mail);
-        if was_empty && !self.eof[l] {
+        let was_empty = link.inbox.is_empty();
+        link.inbox.push(&mut self.spill, l, mail);
+        if was_empty && !link.eof {
             self.filled(a);
-        } else if self.phase[a] == Phase::Draining {
+        } else if self.agent[a].phase == Phase::Draining {
             self.wake(a);
         }
     }
 
     /// Link `l`'s peer will never write it again.
     pub fn set_eof(&mut self, l: usize) {
-        if self.eof[l] {
+        let link = &mut self.link[l];
+        if link.eof {
             return;
         }
-        self.eof[l] = true;
-        let a = self.owner[l] as usize;
-        if !self.alive[l] {
+        link.eof = true;
+        let a = link.owner as usize;
+        if !link.alive {
             return;
         }
-        if self.mail.is_empty(l) {
+        if link.inbox.is_empty() {
             self.filled(a);
-        } else if self.phase[a] == Phase::Draining {
+        } else if self.agent[a].phase == Phase::Draining {
             self.wake(a);
         }
     }
 
     /// A live link of agent `a` went from lacking input to holding some.
+    #[inline]
     fn filled(&mut self, a: usize) {
-        match self.phase[a] {
+        let agent = &mut self.agent[a];
+        match agent.phase {
             Phase::AwaitFrames => {
-                self.missing[a] -= 1;
-                if self.missing[a] == 0 {
+                agent.missing -= 1;
+                if agent.missing == 0 {
                     self.wake(a);
                 }
             }
@@ -454,13 +572,14 @@ impl AgentBlock {
 
     /// Link `l` died: nothing on it is ever read again.
     fn kill(&mut self, l: usize) {
-        self.alive[l] = false;
-        self.mail.clear(l);
+        let link = &mut self.link[l];
+        link.alive = false;
+        link.inbox.clear(&mut self.spill, l);
         // A draining local peer may now close its link back to us.
-        let rev = self.reverse[l];
+        let rev = link.reverse;
         if rev != REMOTE {
-            let b = self.owner[rev as usize] as usize;
-            if self.phase[b] == Phase::Draining {
+            let b = self.link[rev as usize].owner as usize;
+            if self.agent[b].phase == Phase::Draining {
                 self.wake(b);
             }
         }
@@ -468,11 +587,13 @@ impl AgentBlock {
 
     /// Hands one entry to link `l`'s peer: straight into its mailbox when
     /// local, through `out` when remote. `false` when the link is gone.
+    #[inline]
     fn transmit(&mut self, l: usize, round: u32, mail: Mail, out: &mut impl Outlet) -> bool {
-        if self.eof[l] {
+        let link = &self.link[l];
+        if link.eof {
             return false;
         }
-        match self.reverse[l] {
+        match link.reverse {
             REMOTE => out.send(l, round, mail),
             rev => {
                 self.deliver(rev as usize, mail);
@@ -487,26 +608,26 @@ impl AgentBlock {
     /// and the peer already holds this exact residual. A link found gone
     /// has its transfer reclaimed so no slack mass is destroyed.
     pub fn send_round(&mut self, a: usize, out: &mut impl Outlet) {
-        debug_assert_eq!(self.phase[a], Phase::NeedSend);
-        self.rounds[a] += 1;
-        let round = self.rounds[a];
+        debug_assert_eq!(self.agent[a].phase, Phase::NeedSend);
         let links = self.links(a);
-
         self.neigh_e.clear();
-        for l in links.clone() {
-            if self.alive[l] {
-                self.neigh_e.push(self.heard_e[l]);
+        for link in &self.link[links.clone()] {
+            if link.alive {
+                self.neigh_e.push(link.heard_e);
             }
         }
         let spec = &self.specs[a];
+        let agent = &mut self.agent[a];
+        agent.rounds += 1;
+        let round = agent.rounds;
         let round_params = NodeParams {
-            eta: spec.params.eta * self.boost[a],
+            eta: spec.params.eta * agent.boost,
             ..spec.params
         };
         let dp = node_action_into(
             &spec.utility,
-            self.p[a],
-            self.e[a],
+            agent.p,
+            agent.e,
             &self.neigh_e,
             &round_params,
             &mut self.scratch,
@@ -514,30 +635,30 @@ impl AgentBlock {
         // Same accounting (and summation order) as
         // `NodeAction::own_residual_delta`, without the per-round `Vec`.
         let sent_total: f64 = self.scratch.transfers.iter().sum();
-        self.p[a] += dp;
-        self.e[a] += dp - sent_total;
-        self.streak[a] = if dp.abs() < spec.settle_tol {
-            self.streak[a] + 1
+        agent.p += dp;
+        agent.e += dp - sent_total;
+        agent.streak = if dp.abs() < spec.settle_tol {
+            agent.streak + 1
         } else {
             0
         };
-        let settled = self.streak[a] as usize >= spec.stable_rounds;
-        self.settled[a] = settled;
+        let settled = agent.streak as usize >= spec.stable_rounds;
+        agent.settled = settled;
 
         // Every entry carries the post-update residual; reclaims from
         // closed links land in `e` without rewriting entries already sent.
-        let e_round = self.e[a];
+        let e_round = agent.e;
         // Our own mailboxes cannot change while we send, so the links still
         // lacking round input are counted in the same pass.
         let mut missing = 0;
         let mut k = 0;
         for l in links {
-            if !self.alive[l] {
+            if !self.link[l].alive {
                 continue;
             }
             let transfer = self.scratch.transfers[k];
             k += 1;
-            let redundant = settled && transfer == 0.0 && e_round == self.sent_e[l];
+            let redundant = settled && transfer == 0.0 && e_round == self.link[l].sent_e;
             let mail = if redundant {
                 Mail {
                     settled: true,
@@ -552,21 +673,24 @@ impl AgentBlock {
                 }
             };
             if self.transmit(l, round, mail, out) {
-                self.msgs_sent[a] += 1;
+                let agent = &mut self.agent[a];
+                let link = &mut self.link[l];
+                agent.msgs_sent += 1;
                 if redundant {
-                    self.heartbeats_sent[a] += 1;
+                    agent.heartbeats_sent += 1;
                 } else {
-                    self.sent_e[l] = self.e[a];
+                    link.sent_e = agent.e;
                 }
-                missing += u32::from(self.mail.is_empty(l) && !self.eof[l]);
+                missing += u32::from(link.inbox.is_empty() && !link.eof);
             } else {
-                self.e[a] += transfer;
+                self.agent[a].e += transfer;
                 self.kill(l);
                 self.pruned.push((a as u32, self.peer[l]));
             }
         }
-        self.missing[a] = missing;
-        self.phase[a] = Phase::AwaitFrames;
+        let agent = &mut self.agent[a];
+        agent.missing = missing;
+        agent.phase = Phase::AwaitFrames;
     }
 
     /// Receive pass of agent `a`: one entry per live link in slot order. A
@@ -576,49 +700,51 @@ impl AgentBlock {
     /// and the quorum check: settled with every neighbor settled or gone
     /// sends `Goodbye` on every live link and enters the drain.
     pub fn receive_round(&mut self, a: usize, out: &mut impl Outlet) {
-        debug_assert_eq!(self.phase[a], Phase::AwaitFrames);
+        debug_assert_eq!(self.agent[a].phase, Phase::AwaitFrames);
         let detect_after = self.specs[a].detect_after;
         for l in self.links(a) {
-            if !self.alive[l] {
+            let link = &mut self.link[l];
+            if !link.alive {
                 continue;
             }
-            match self.mail.pop(l) {
+            match link.inbox.pop(&mut self.spill, l) {
                 Some(m) => {
                     match m.kind {
                         EntryKind::Data => {
-                            self.heard_e[l] = m.e;
-                            self.e[a] += m.transfer;
-                            self.peer_settled[l] = m.settled;
-                            self.silent[l] = 0;
+                            link.heard_e = m.e;
+                            self.agent[a].e += m.transfer;
+                            link.peer_settled = m.settled;
+                            link.silent = 0;
                         }
                         EntryKind::Heartbeat => {
-                            self.peer_settled[l] = m.settled;
-                            self.silent[l] = 0;
+                            link.peer_settled = m.settled;
+                            link.silent = 0;
                         }
                         EntryKind::Goodbye => {
-                            self.e[a] += m.transfer;
-                            self.graceful[l] = true;
-                            self.peer_settled[l] = true;
-                            self.kill(l);
+                            self.agent[a].e += m.transfer;
+                            link.graceful = true;
+                            link.peer_settled = true;
                             // Nothing more goes to the draining peer: a
                             // remote one learns it now, as a local one does
                             // from the dead reverse link, and does not wait
                             // out its drain's quiet period.
-                            if self.reverse[l] == REMOTE && !self.eof[l] {
-                                out.eof(l, self.rounds[a]);
+                            let announce = link.reverse == REMOTE && !link.eof;
+                            self.kill(l);
+                            if announce {
+                                out.eof(l, self.agent[a].rounds);
                             }
                         }
                         EntryKind::Eof => unreachable!("end of stream is a flag, never mail"),
                     }
-                    self.msgs_received[a] += 1;
+                    self.agent[a].msgs_received += 1;
                 }
-                None if self.eof[l] => {
+                None if link.eof => {
                     self.kill(l);
                     self.pruned.push((a as u32, self.peer[l]));
                 }
                 None => {
-                    self.silent[l] += 1;
-                    if self.silent[l] as usize >= detect_after {
+                    link.silent += 1;
+                    if link.silent as usize >= detect_after {
                         self.kill(l);
                         self.pruned.push((a as u32, self.peer[l]));
                     }
@@ -627,27 +753,30 @@ impl AgentBlock {
         }
 
         let spec = &self.specs[a];
-        self.boost[a] = (self.boost[a] * spec.boost_decay.clamp(0.0, 1.0)).max(1.0);
-        let round = self.rounds[a] as usize;
+        let agent = &mut self.agent[a];
+        agent.boost = (agent.boost * spec.boost_decay.clamp(0.0, 1.0)).max(1.0);
+        let round = agent.rounds as usize;
         if spec.sample_every > 0 && round.is_multiple_of(spec.sample_every) {
             self.trace[a].push(NodeSample {
                 round,
-                p: self.p[a],
-                e: self.e[a],
-                msgs_sent: self.msgs_sent[a],
+                p: agent.p,
+                e: agent.e,
+                msgs_sent: agent.msgs_sent,
             });
         }
 
-        let quorum = self.settled[a]
-            && self
-                .links(a)
-                .all(|l| !self.alive[l] || self.peer_settled[l]);
+        let links = self.links(a);
+        let quorum = self.agent[a].settled
+            && self.link[links.clone()]
+                .iter()
+                .all(|link| !link.alive || link.peer_settled);
         if !quorum {
-            self.phase[a] = Phase::NeedSend;
+            self.agent[a].phase = Phase::NeedSend;
             return;
         }
+        let round = self.agent[a].rounds;
         let bye = Mail {
-            e: self.e[a],
+            e: self.agent[a].e,
             transfer: 0.0,
             kind: EntryKind::Goodbye,
             settled: false,
@@ -656,13 +785,13 @@ impl AgentBlock {
         // by missing it. It counts on every live link either way: whether
         // a peer that ended this same round (its round cap) got there first
         // is scheduling, and must not show in the counters.
-        for l in self.links(a) {
-            if self.alive[l] {
-                self.transmit(l, self.rounds[a], bye, out);
-                self.msgs_sent[a] += 1;
+        for l in links {
+            if self.link[l].alive {
+                self.transmit(l, round, bye, out);
+                self.agent[a].msgs_sent += 1;
             }
         }
-        self.phase[a] = Phase::Draining;
+        self.agent[a].phase = Phase::Draining;
     }
 
     /// Drain check of agent `a`: a live link closes once it holds the
@@ -671,20 +800,22 @@ impl AgentBlock {
     /// mailboxes until every link is closed, then [`Self::finish_drain`]
     /// absorbs them. Returns `true` when the agent finished.
     pub fn absorb_drain(&mut self, a: usize, out: &mut impl Outlet) -> bool {
-        debug_assert_eq!(self.phase[a], Phase::Draining);
+        debug_assert_eq!(self.agent[a].phase, Phase::Draining);
         let mut open = false;
         for l in self.links(a) {
-            if !self.alive[l] {
+            let link = &self.link[l];
+            if !link.alive {
                 continue;
             }
-            let said_goodbye = matches!(self.mail.back(l), Some(m) if m.kind == EntryKind::Goodbye);
-            let reverse_dead = match self.reverse[l] {
+            let said_goodbye =
+                matches!(link.inbox.back(&self.spill, l), Some(m) if m.kind == EntryKind::Goodbye);
+            let reverse_dead = match link.reverse {
                 REMOTE => false,
-                rev => !self.alive[rev as usize],
+                rev => !self.link[rev as usize].alive,
             };
-            if said_goodbye || self.eof[l] || reverse_dead {
+            if said_goodbye || link.eof || reverse_dead {
                 // Closed, but the held entries stay for `finish_drain`.
-                self.alive[l] = false;
+                self.link[l].alive = false;
             } else {
                 open = true;
             }
@@ -704,26 +835,29 @@ impl AgentBlock {
     /// residual survives bit-exact.
     pub fn finish_drain(&mut self, a: usize, out: &mut impl Outlet) {
         for l in self.links(a) {
-            while let Some(m) = self.mail.pop(l) {
+            while let Some(m) = self.link[l].inbox.pop(&mut self.spill, l) {
+                let agent = &mut self.agent[a];
                 if m.kind != EntryKind::Heartbeat {
-                    self.e[a] += m.transfer;
+                    agent.e += m.transfer;
                 }
-                self.msgs_received[a] += 1;
+                agent.msgs_received += 1;
             }
         }
-        self.converged[a] = true;
+        self.agent[a].converged = true;
         self.finish(a, out);
     }
 
     /// Agent `a` stops for good: every peer learns its end of stream.
     pub fn finish(&mut self, a: usize, out: &mut impl Outlet) {
-        self.phase[a] = Phase::Done;
+        let agent = &mut self.agent[a];
+        agent.phase = Phase::Done;
+        let round = agent.rounds;
         self.done += 1;
-        let round = self.rounds[a];
         for l in self.links(a) {
-            match self.reverse[l] {
+            let link = &self.link[l];
+            match link.reverse {
                 // A link closed on the peer's goodbye announced its end then.
-                REMOTE if !self.eof[l] && !self.graceful[l] => out.eof(l, round),
+                REMOTE if !link.eof && !link.graceful => out.eof(l, round),
                 REMOTE => {}
                 rev => self.set_eof(rev as usize),
             }
@@ -738,15 +872,16 @@ impl AgentBlock {
         (0..self.specs.len())
             .map(|a| {
                 let tag = a as u32;
+                let agent = &self.agent[a];
                 let mut report = NodeReport {
                     node: self.specs[a].id,
-                    p: self.p[a],
-                    e: self.e[a],
-                    rounds: self.rounds[a] as usize,
-                    converged: self.converged[a],
-                    msgs_sent: self.msgs_sent[a],
-                    msgs_received: self.msgs_received[a],
-                    heartbeats_sent: self.heartbeats_sent[a],
+                    p: agent.p,
+                    e: agent.e,
+                    rounds: agent.rounds as usize,
+                    converged: agent.converged,
+                    msgs_sent: agent.msgs_sent,
+                    msgs_received: agent.msgs_received,
+                    heartbeats_sent: agent.heartbeats_sent,
                     pruned: Vec::new(),
                     trace: std::mem::take(&mut self.trace[a]),
                 };
@@ -762,6 +897,104 @@ impl AgentBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{node_specs, RuntimeConfig};
+    use dpc_alg::diba::DibaConfig;
+    use dpc_alg::problem::PowerBudgetProblem;
+    use dpc_models::units::Watts;
+    use dpc_models::workload::ClusterBuilder;
+    use dpc_topology::Graph;
+
+    /// The block hosting `hosted` of a seeded ring of `n`: its first and
+    /// last agents are boundary agents, the rest interior.
+    fn ring_block(n: usize, hosted: Range<usize>) -> AgentBlock {
+        let graph = Graph::ring(n);
+        let cluster = ClusterBuilder::new(n).seed(5).build();
+        let problem =
+            PowerBudgetProblem::new(cluster.utilities(), Watts(170.0 * n as f64)).unwrap();
+        let specs = node_specs(
+            &problem,
+            &graph,
+            DibaConfig::default(),
+            &RuntimeConfig::default(),
+        )
+        .unwrap();
+        let rows = hosted.clone().map(|i| graph.neighbors(i));
+        AgentBlock::new(specs[hosted].to_vec(), rows)
+    }
+
+    fn drain_ready(block: &mut AgentBlock) -> Vec<usize> {
+        std::iter::from_fn(|| block.pop_ready()).collect()
+    }
+
+    /// An outlet that takes every entry.
+    struct Sink;
+
+    impl Outlet for Sink {
+        fn send(&mut self, _link: usize, _round: u32, _mail: Mail) -> bool {
+            true
+        }
+
+        fn eof(&mut self, _link: usize, _round: u32) {}
+    }
+
+    #[test]
+    fn boundary_agents_step_first_then_interior_in_id_order_from_the_cursor() {
+        // Agents 0 and 149 have a link outside the block; 1..149 span two
+        // full bitmap words and a partial tail word.
+        let mut block = ring_block(200, 0..150);
+        for a in [100, 149, 5, 0, 130, 149, 70, 5] {
+            block.wake(a);
+        }
+        assert_eq!(drain_ready(&mut block), [149, 0, 5, 70, 100, 130]);
+
+        // The sweep resumes past 130 and wraps around to the lower ids.
+        for a in [20, 140, 64, 131, 63] {
+            block.wake(a);
+        }
+        assert_eq!(drain_ready(&mut block), [131, 140, 20, 63, 64]);
+
+        // A wrapped sweep comes back to the cursor's own word for the bits
+        // below the cursor.
+        for a in [64, 66] {
+            block.wake(a);
+        }
+        assert_eq!(drain_ready(&mut block), [66, 64]);
+
+        // Every agent woken twice is held once; the sweep starts past 64.
+        block.wake_all();
+        block.wake_all();
+        let expected: Vec<usize> = [0, 149].into_iter().chain(65..149).chain(1..65).collect();
+        assert_eq!(drain_ready(&mut block), expected);
+
+        for a in [3, 0, 140, 149] {
+            block.wake(a);
+        }
+        block.clear_ready();
+        assert_eq!(block.pop_ready(), None, "both classes cleared");
+        block.wake(3);
+        block.wake(149);
+        assert_eq!(drain_ready(&mut block), [149, 3]);
+    }
+
+    #[test]
+    fn a_block_of_one_holds_at_most_one_ready_entry_however_many_rounds_run() {
+        // The blocking actor loop drives its block of one by phase and
+        // never pops the ready set the deliveries fill.
+        let mut block = ring_block(3, 1..2);
+        let rounds = 5_000;
+        for _ in 0..rounds {
+            block.send_round(0, &mut Sink);
+            for l in block.links(0) {
+                block.deliver(l, Mail::EMPTY);
+            }
+            block.receive_round(0, &mut Sink);
+            assert_eq!(block.phase(0), Phase::NeedSend);
+            assert!(block.boundary_ready.len() + block.interior_ready <= block.len());
+        }
+        assert_eq!(block.rounds(0), rounds);
+        assert_eq!(block.pop_ready(), Some(0));
+        assert_eq!(block.pop_ready(), None);
+    }
 
     fn data(e: f64) -> Mail {
         Mail {
@@ -774,31 +1007,36 @@ mod tests {
 
     #[test]
     fn mailbox_spills_past_inline_capacity_and_pops_fifo() {
-        let mut mb = Mailboxes::new(3);
+        let mut spill = Spill::new();
+        let mut mb = [Inbox::EMPTY; 3];
         let pushed = 3 * MAILBOX_INLINE + 1;
         for k in 0..pushed {
-            mb.push(1, data(k as f64));
+            mb[1].push(&mut spill, 1, data(k as f64));
             // Interleave a neighbor link to show spills stay per link.
             if k % 2 == 0 {
-                mb.push(2, data(100.0 + k as f64));
+                mb[2].push(&mut spill, 2, data(100.0 + k as f64));
             }
         }
-        assert_eq!(mb.len[1] as usize, pushed);
-        assert_eq!(mb.spill.len(), 2, "links 1 and 2 both spilled");
-        assert_eq!(mb.back(1), Some(&data((pushed - 1) as f64)));
-        assert!(mb.is_empty(0));
+        assert_eq!(mb[1].held as usize, pushed);
+        assert_eq!(spill.len(), 2, "links 1 and 2 both spilled");
+        assert_eq!(mb[1].back(&spill, 1), Some(&data((pushed - 1) as f64)));
+        assert!(mb[0].is_empty());
         for k in 0..pushed {
-            assert_eq!(mb.pop(1), Some(data(k as f64)), "entry {k} out of order");
+            assert_eq!(
+                mb[1].pop(&mut spill, 1),
+                Some(data(k as f64)),
+                "entry {k} out of order"
+            );
             if k == 1 {
                 // Refill mid-drain: new entries queue behind the spill.
-                mb.push(1, data(1000.0));
+                mb[1].push(&mut spill, 1, data(1000.0));
             }
         }
-        assert_eq!(mb.pop(1), Some(data(1000.0)));
-        assert_eq!(mb.pop(1), None);
-        assert_eq!(mb.spill.len(), 1, "link 1's spill is released once drained");
-        mb.clear(2);
-        assert!(mb.spill.is_empty());
-        assert_eq!(mb.pop(2), None);
+        assert_eq!(mb[1].pop(&mut spill, 1), Some(data(1000.0)));
+        assert_eq!(mb[1].pop(&mut spill, 1), None);
+        assert_eq!(spill.len(), 1, "link 1's spill is released once drained");
+        mb[2].clear(&mut spill, 2);
+        assert!(spill.is_empty());
+        assert_eq!(mb[2].pop(&mut spill, 2), None);
     }
 }

@@ -8,7 +8,7 @@
 //! crossbeam channels in-process ([`channel`]) or real TCP sockets
 //! ([`tcp`]). The per-round protocol — the math of
 //! [`dpc_alg::diba::node_action`], heartbeats, pruning, goodbyes and the
-//! drain — lives once, in a columnar agent block that the blocking node
+//! drain — lives once, in an agent block that the blocking node
 //! loop, the [`lockstep`] executor and the [`reactor`] shards all drive,
 //! so every substrate converges to the same allocation (the
 //! transport-equivalence tests pin it).

@@ -10,7 +10,7 @@
 //! memory and threads are O(agents) and O(shards) respectively, never
 //! O(agents) threads.
 //!
-//! Each shard's agents live in one columnar agent block (`agent::AgentBlock`).
+//! Each shard's agents live in one agent block (`agent::AgentBlock`).
 //! An edge between two agents of the same shard never leaves it: a send
 //! writes the receiver's mailbox directly, with no framing. Traffic
 //! between shards is coalesced onto **carriers**, one byte stream per
@@ -45,6 +45,7 @@ use crate::cluster::{RuntimeConfig, ShardCount};
 use crate::error::RuntimeError;
 use crate::node::{NodeReport, NodeSpec};
 use crate::wire::ClusterIdentity;
+use dpc_alg::exec::host_parallelism;
 use dpc_topology::Graph;
 use std::collections::{BTreeSet, HashMap};
 use std::io;
@@ -94,10 +95,7 @@ pub fn resolve_shard_count(requested: ShardCount, graph: &Graph) -> usize {
     match requested {
         ShardCount::Fixed(k) => k.clamp(1, n.max(1)),
         ShardCount::Auto => {
-            let cores = thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .clamp(1, AUTO_MAX_SHARDS);
+            let cores = host_parallelism().clamp(1, AUTO_MAX_SHARDS);
             let total_work: usize = (0..n).map(|v| graph.neighbors(v).len() + 4).sum();
             total_work
                 .div_ceil(AUTO_WORK_PER_SHARD)

@@ -13,9 +13,10 @@
 //! An agent steps round `r` only when every live link holds an entry (or
 //! its stream ended) — counted per agent as entries land, never scanned —
 //! and its receive pass consumes them in slot order, so the values
-//! computed are independent of the order bytes happened to arrive in,
-//! which is what makes reactor runs bitwise-identical to the inproc and
-//! lockstep substrates.
+//! computed are independent of the order bytes happened to arrive in and
+//! of the order ready agents are stepped in (boundary agents first, then
+//! interior agents in id order; see `pump`), which is what makes
+//! reactor runs bitwise-identical to the inproc and lockstep substrates.
 //!
 //! The hot path allocates nothing: cross-shard entries encode straight
 //! into each carrier's persistent staging buffer through a
@@ -307,12 +308,15 @@ fn release_agents(shard: &mut Shard, lp: &mut Loop) {
 /// anything, then flushes every carrier in one write each. Intra-shard
 /// traffic completes entire rounds inside one pump.
 ///
-/// Agents step in the order they became ready, so the ones woken by a peer
-/// shard's entries — the agents on the shard boundary — go first, and the
-/// carriers are flushed every [`FLUSH_EVERY`] steps rather than only at
-/// the end: the peer shard gets the next round's boundary entries while
-/// this shard is still working through its interior, and the two shards
-/// overlap instead of taking turns.
+/// The block hands out boundary agents (those with a cross-shard link)
+/// first, in the order they became ready, and the carriers are flushed
+/// every [`FLUSH_EVERY`] steps rather than only at the end: the peer shard
+/// gets the next round's boundary entries while this shard is still
+/// working through its interior, and the two shards overlap instead of
+/// taking turns. Interior agents step in ascending id order from a
+/// wrapping cursor, so a shard whose records outgrow the cache walks them
+/// in memory order rather than in the wavefront order readiness spreads
+/// in.
 fn pump(shard: &mut Shard, lp: &mut Loop) -> Result<(), RuntimeError> {
     loop {
         let moved = sweep_mem(shard, lp)?;

@@ -476,6 +476,39 @@ proptest! {
     }
 }
 
+/// Reactor ≡ lockstep on every deterministic report field when a shard's
+/// interior agents — stepped in an id-order sweep over the block's ready
+/// bitmap — span several bitmap words and a partial tail word: one shard
+/// holds all 156 agents of a 12×13 torus (words of 64, 64 and 28 agents),
+/// three split it into blocks with a boundary on both sides.
+#[test]
+fn reactor_reports_equal_lockstep_across_multi_word_interior_sweeps() {
+    let graph = Graph::torus(12, 13).unwrap();
+    let n = graph.len();
+    let problem = seeded_problem(n, 23, 168.0 * n as f64);
+    let run = |transport, shards| {
+        let rt = RuntimeConfig {
+            transport,
+            sample_every: 7,
+            ..reactor_config(shards)
+        };
+        run_cluster(problem.clone(), graph.clone(), DibaConfig::default(), &rt).unwrap()
+    };
+    let lockstep = run(TransportKind::Lockstep, 1);
+    assert!(lockstep.converged, "the torus reaches quorum");
+    for shards in [1, 3] {
+        let reactor = run(TransportKind::Reactor, shards);
+        assert_eq!(reactor.reports.len(), n);
+        for (a, b) in lockstep.reports.iter().zip(&reactor.reports) {
+            assert_eq!(
+                deterministic_fields(a),
+                deterministic_fields(b),
+                "{shards} shards"
+            );
+        }
+    }
+}
+
 /// Reactor ≡ lockstep on every deterministic report field when the round
 /// cap cuts through the goodbye wave: an agent reaches quorum in its last
 /// round while neighbors end at the cap in that same round, in whatever
